@@ -19,11 +19,12 @@ from typing import Optional, Sequence
 from . import graphio
 from .covering import (
     consistent_sets,
+    enumerate_copies,
     skew_witness_pipeline,
     tau_exact,
     tau_greedy,
+    tau_le_one,
     tau_lower_clique,
-    union_copy_graph,
 )
 from .density import fractional_arboricity, maximal_density
 from .digraph import (
@@ -31,8 +32,6 @@ from .digraph import (
     make_directed_path,
     make_rooted_star,
     make_transitive_tournament,
-    shortest_directed_cycle,
-    topological_order,
 )
 from .errors import (
     DagCoverError,
@@ -80,6 +79,13 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _int_arg(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInputError(f"{what} must be an integer, got {text!r}") from None
+
+
 def catalog_graph(name: str, args: Sequence[str]) -> Digraph:
     if name == "figure1":
         if args:
@@ -88,7 +94,7 @@ def catalog_graph(name: str, args: Sequence[str]) -> Digraph:
     if name == "Th":
         if len(args) != 1:
             raise InvalidInputError("catalog Th takes one argument: h")
-        return make_transitive_tournament(int(args[0]))
+        return make_transitive_tournament(_int_arg(args[0], "Th size h"))
     if name == "star":
         if len(args) not in (1, 2):
             raise InvalidInputError("catalog star takes h and optionally source|sink")
@@ -97,11 +103,11 @@ def catalog_graph(name: str, args: Sequence[str]) -> Digraph:
             if args[1] not in ("source", "sink"):
                 raise InvalidInputError("star direction must be 'source' or 'sink'")
             source = args[1] == "source"
-        return make_rooted_star(int(args[0]), source=source)
+        return make_rooted_star(_int_arg(args[0], "star size h"), source=source)
     if name == "path":
         if len(args) != 1:
             raise InvalidInputError("catalog path takes one argument: length")
-        return make_directed_path(int(args[0]))
+        return make_directed_path(_int_arg(args[0], "path length"))
     raise InvalidInputError(f"unknown catalog entry {name!r}")
 
 
@@ -150,54 +156,56 @@ def _cmd_tau(ns: argparse.Namespace) -> int:
     pattern = _load_graph(ns.pattern)
     if ns.mode in ("greedy", "bounds") and ns.seed is None:
         raise InvalidInputError(f"--{ns.mode} requires --seed")
+    code = EXIT_OK
     if ns.mode == "greedy":
         sol = tau_greedy(host, pattern, ns.seed, cap=ns.cap)
-        _emit(sol.to_json_dict(), ns.format, [f"tau <= {sol.size}"])
-        return EXIT_OK
-    if ns.mode == "bounds":
-        lower = tau_lower_clique(host, pattern, ns.seed, cap=ns.cap)
-        upper = tau_greedy(host, pattern, ns.seed, cap=ns.cap).size
-        _emit(
-            {"lower": lower, "upper": upper},
-            ns.format,
-            [f"{lower} <= tau <= {upper}"],
-        )
-        return EXIT_OK
-    res = tau_exact(host, pattern, budget=ns.budget, cap=ns.cap)
-    if not res.exact:
-        _emit(
-            {"lower": res.lower, "upper": res.upper, "exact": False},
-            ns.format,
-            [f"budget exceeded: {res.lower} <= tau <= {res.upper}"],
-        )
-        return EXIT_PARTIAL
-    obj = res.solution.to_json_dict()
-    obj["exact"] = True
-    _emit(obj, ns.format, [f"tau = {res.value}"])
-    return EXIT_OK
+        obj, lines, truncated = sol.to_json_dict(), [f"tau <= {sol.size}"], sol.truncated
+    elif ns.mode == "bounds":
+        copies = enumerate_copies(host, pattern, ns.cap)
+        lower = tau_lower_clique(host, pattern, ns.seed, copies=copies)
+        upper = tau_greedy(host, pattern, ns.seed, copies=copies).size
+        obj, lines = {"lower": lower, "upper": upper}, [f"{lower} <= tau <= {upper}"]
+        truncated = copies.truncated
+    else:
+        res = tau_exact(host, pattern, budget=ns.budget, cap=ns.cap)
+        truncated = res.truncated
+        if res.exact:
+            obj = res.solution.to_json_dict()
+            obj["exact"] = True
+            lines = [f"tau = {res.value}"]
+        else:
+            obj = {"lower": res.lower, "upper": res.upper, "exact": False}
+            stop = "budget exceeded: " if res.nodes > ns.budget else ""
+            lines = [f"{stop}{res.lower} <= tau <= {res.upper}"]
+            code = EXIT_PARTIAL
+    if truncated:
+        obj["truncated"] = True
+        lines.append("# truncated: copy cap hit; the values cover only the copies found")
+        code = EXIT_PARTIAL
+    _emit(obj, ns.format, lines)
+    return code
 
 
 def _cmd_gh(ns: argparse.Namespace) -> int:
     host = _load_graph(ns.host)
     pattern = _load_graph(ns.pattern)
-    gh, truncated = union_copy_graph(host, pattern, cap=ns.cap)
-    order = topological_order(gh)
-    cycle = None if order is not None else shortest_directed_cycle(gh)
+    res = tau_le_one(host, pattern, cap=ns.cap)
+    certificate = res.order.order if res.acyclic else res.cycle
     obj = {
-        "gh": {"n": gh.n, "edges": [list(e) for e in gh.sorted_edges]},
-        "dag": order is not None,
-        "certificate": list(order.order) if order is not None else list(cycle),
-        "truncated": truncated,
+        "gh": {"n": res.union.n, "edges": [list(e) for e in res.union.sorted_edges]},
+        "dag": res.acyclic,
+        "certificate": list(certificate),
+        "truncated": res.truncated,
     }
-    lines = [graphio.format_edge_list(gh).rstrip("\n")]
-    if order is not None:
-        lines.append(f"# dag: yes; covering order: {' '.join(map(str, order.order))}")
-    else:
-        lines.append(f"# dag: no; shortest cycle: {' '.join(map(str, cycle))}")
-    if truncated:
+    kind = "yes; covering order" if res.acyclic else "no; shortest cycle"
+    lines = [
+        graphio.format_edge_list(res.union).rstrip("\n"),
+        f"# dag: {kind}: {' '.join(map(str, certificate))}",
+    ]
+    if res.truncated:
         lines.append("# truncated: copy cap hit")
     _emit(obj, ns.format, lines)
-    return EXIT_PARTIAL if truncated else EXIT_OK
+    return EXIT_PARTIAL if res.truncated else EXIT_OK
 
 
 def _cmd_consistent(ns: argparse.Namespace) -> int:
@@ -246,6 +254,8 @@ def _parse_sweep_config(text: str) -> SweepConfig:
         pattern = graphio.parse_graph_json(json.dumps(pattern_spec))
     elif isinstance(pattern_spec, str):
         parts = pattern_spec.split()
+        if not parts:
+            raise InvalidInputError('sweep config "pattern" is empty')
         pattern = catalog_graph(parts[0], parts[1:])
     else:
         raise InvalidInputError('sweep config needs "pattern" (graph object or catalog string)')

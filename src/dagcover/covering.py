@@ -11,17 +11,23 @@ copies into acyclic-union families, which is what the exact solver
 searches for, and that tau <= 1 exactly when the union of all copies is
 acyclic.  The brute-force oracle over all n! permutations in the test
 suite confirms the equivalence.
+
+`_Group` is the one group engine: an acyclic copy union with a
+topological order, grown by a read-only `can_add` and an `add` that
+cannot fail, and shrunk by `remove`.  The greedy cover and the exact
+search both build their groups with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .digraph import (
     Digraph,
     Edge,
     Permutation,
+    edges_acyclic,
     forward_count,
     is_dag,
     is_rooted_star,
@@ -58,10 +64,15 @@ class CopySet:
 
 @dataclass(frozen=True)
 class CoverSolution:
-    """Permutations plus copy -> permutation assignment; every copy fully forward."""
+    """Permutations plus copy -> permutation assignment; every copy fully forward.
+
+    `truncated` marks a cover of a copy set cut off by the enumeration
+    cap: copies beyond the cap may need more permutations.
+    """
 
     permutations: tuple[Permutation, ...]
     assignment: tuple[int, ...]
+    truncated: bool = False
 
     @property
     def size(self) -> int:
@@ -202,6 +213,10 @@ def _embed(
         return False
 
     rec(0)
+    # rec holds itself through its closure; dropping the name ends that
+    # cycle, so the search state and the copies are freed by reference
+    # counting, not whenever the cyclic collector next runs
+    del rec
     found.sort(key=lambda c: tuple(sorted(c.edges)))
     return found, truncated
 
@@ -239,6 +254,7 @@ class TauOneResult:
     order: Optional[Permutation]
     cycle: Optional[tuple[int, ...]]
     truncated: bool
+    union: Digraph
 
 
 def tau_le_one(g: Digraph, h: Digraph, cap: int = DEFAULT_COPY_CAP) -> TauOneResult:
@@ -250,40 +266,20 @@ def tau_le_one(g: Digraph, h: Digraph, cap: int = DEFAULT_COPY_CAP) -> TauOneRes
     gh, truncated = union_copy_graph(g, h, cap)
     order = topological_order(gh)
     if order is not None:
-        return TauOneResult(acyclic=True, order=order, cycle=None, truncated=truncated)
+        return TauOneResult(acyclic=True, order=order, cycle=None, truncated=truncated, union=gh)
     cyc = shortest_directed_cycle(gh)
     assert cyc is not None
-    return TauOneResult(acyclic=False, order=None, cycle=tuple(cyc), truncated=truncated)
+    return TauOneResult(acyclic=False, order=None, cycle=tuple(cyc), truncated=truncated, union=gh)
 
 
 # --- compatibility ---------------------------------------------------------
-
-def _edges_acyclic(edges: Iterable[Edge]) -> bool:
-    """Kahn peel over exactly the endpoints touched by `edges`."""
-    out: dict[int, list[int]] = {}
-    indeg: dict[int, int] = {}
-    for u, v in edges:
-        out.setdefault(u, []).append(v)
-        indeg[v] = indeg.get(v, 0) + 1
-        indeg.setdefault(u, 0)
-    stack = [v for v, d in indeg.items() if d == 0]
-    seen = 0
-    while stack:
-        u = stack.pop()
-        seen += 1
-        for w in out.get(u, ()):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                stack.append(w)
-    return seen == len(indeg)
-
 
 def compatible(copies: Iterable[Copy]) -> bool:
     """True iff one permutation can cover all given copies (acyclic edge union)."""
     union: set[Edge] = set()
     for c in copies:
         union |= c.edges
-    return _edges_acyclic(union)
+    return edges_acyclic(union)
 
 
 def _conflict(a: Copy, b: Copy) -> bool:
@@ -291,20 +287,20 @@ def _conflict(a: Copy, b: Copy) -> bool:
     for u, v in a.edges:
         if (v, u) in b.edges:
             return True  # 2-cycle in the union
-    return not _edges_acyclic(a.edges | b.edges)
+    return not edges_acyclic(a.edges | b.edges)
 
 
-# --- dynamic acyclic union (for the greedy cover) --------------------------
+# --- a group of copies with an acyclic union ---------------------------------
 
-class _DynamicDag:
-    """Incrementally maintained topological order with all-or-nothing inserts.
+class _Group:
+    """The edge union of a family of copies, acyclic, with a topological order.
 
-    Edge insertion follows the bounded-region reordering scheme: a
-    backward edge (u, v) triggers a forward search from v and a backward
-    search from u inside the position window [pos(v), pos(u)]; reaching u
-    forward means a cycle, otherwise the two regions swap within their
-    own slots.  try_add applies a whole edge batch and rolls back
-    completely when any edge would close a cycle.
+    `order` lists every vertex the group has touched, with each union
+    edge running forward, and `count` maps each union edge to the number
+    of member copies holding it.  A backward edge (u, v) is inserted by
+    the bounded-region reordering of Pearce and Kelly: the region
+    reachable from v and the region reaching u, both inside the window
+    [pos(v), pos(u)], swap within their own slots.
     """
 
     def __init__(self) -> None:
@@ -312,28 +308,81 @@ class _DynamicDag:
         self.in_: dict[int, set[int]] = {}
         self.pos: dict[int, int] = {}
         self.order: list[int] = []
-        self.edges: set[Edge] = set()
+        self.count: dict[Edge, int] = {}
 
-    def _insert(self, u: int, v: int, pos_snap: dict[int, int], slot_snap: dict[int, int],
-                start_len: int, fresh: set[int]) -> bool:
+    def can_add(self, edges: Collection[Edge]) -> bool:
+        """True iff the union stays acyclic with `edges` added; changes nothing.
+
+        Vertices new to the group count as placed after the current
+        order.  Group edges all run forward, so the highest vertex of a
+        cycle is the tail u of a backward new edge (u, v), and the rest
+        of the cycle lies below it: a search from v over positions below
+        pos(u) finds the cycle.
+        """
+        pos = self.pos
+        end = len(self.order)
+        at: dict[int, int] = {}
+        for e in edges:
+            for w in e:
+                if w not in at:
+                    at[w] = pos.get(w, end + len(at))
+        tails = {u for u, _ in edges}
+        out = self.out
+        for u, v in edges:
+            top = at[u]
+            if top < at[v]:
+                continue
+            seen = {v}
+            stack = [v]
+            while stack:
+                x = stack.pop()
+                for y in out.get(x, ()):
+                    if y == u:
+                        return False
+                    if y not in seen and pos[y] < top:
+                        seen.add(y)
+                        stack.append(y)
+                if x in tails:
+                    for a, y in edges:
+                        if a == x and y not in seen:
+                            if y == u:
+                                return False
+                            if at[y] < top:
+                                seen.add(y)
+                                stack.append(y)
+        return True
+
+    def add(self, edges: Iterable[Edge]) -> None:
+        """Add one copy's edges, which must pass can_add, keeping the order topological."""
+        pos = self.pos
+        for e in sorted(edges):
+            if e in self.count:
+                self.count[e] += 1
+                continue
+            u, v = e
+            for w in e:
+                if w not in pos:
+                    pos[w] = len(self.order)
+                    self.order.append(w)
+            if pos[u] > pos[v]:
+                self._reorder(u, v)
+            self.count[e] = 1
+            self.out.setdefault(u, set()).add(v)
+            self.in_.setdefault(v, set()).add(u)
+
+    def _reorder(self, u: int, v: int) -> None:
         pos = self.pos
         pu, pv = pos[u], pos[v]
-        if pu < pv:
-            return True
-        # forward region from v (positions < pu); hitting u closes a cycle
         fwd = [v]
         seen_f = {v}
         stack = [v]
         while stack:
             x = stack.pop()
             for y in self.out.get(x, ()):
-                if y == u:
-                    return False
                 if y not in seen_f and pos[y] < pu:
                     seen_f.add(y)
                     fwd.append(y)
                     stack.append(y)
-        # backward region from u (positions > pv)
         bwd = [u]
         seen_b = {u}
         stack = [u]
@@ -348,53 +397,23 @@ class _DynamicDag:
         fwd.sort(key=pos.__getitem__)
         slots = sorted(pos[x] for x in bwd + fwd)
         for slot, x in zip(slots, bwd + fwd):
-            if slot < start_len and slot not in slot_snap:
-                slot_snap[slot] = self.order[slot]
-            if x not in fresh and x not in pos_snap:
-                pos_snap[x] = pos[x]
             self.order[slot] = x
             pos[x] = slot
-        return True
 
-    def try_add(self, new_edges: Iterable[Edge]) -> bool:
-        pos_snap: dict[int, int] = {}
-        slot_snap: dict[int, int] = {}
-        start_len = len(self.order)
-        fresh: set[int] = set()
-        added: list[Edge] = []
-        ok = True
-        for u, v in sorted(new_edges):
-            if (u, v) in self.edges:
-                continue
-            for w in (u, v):
-                if w not in self.pos:
-                    self.pos[w] = len(self.order)
-                    self.order.append(w)
-                    fresh.add(w)
-            if not self._insert(u, v, pos_snap, slot_snap, start_len, fresh):
-                ok = False
-                break
-            self.out.setdefault(u, set()).add(v)
-            self.in_.setdefault(v, set()).add(u)
-            self.edges.add((u, v))
-            added.append((u, v))
-        if ok:
-            return True
-        for u, v in added:
-            self.out[u].discard(v)
-            self.in_[v].discard(u)
-            self.edges.discard((u, v))
-        for slot, w in slot_snap.items():
-            self.order[slot] = w
-        for w, p in pos_snap.items():
-            self.pos[w] = p
-        for w in fresh:
-            del self.pos[w]
-        del self.order[start_len:]
-        return False
+    def remove(self, edges: Iterable[Edge]) -> None:
+        """Take one copy's edges out; an edge leaves when no member holds it.
 
-    def topological_vertices(self) -> list[int]:
-        return list(self.order)
+        Deleting edges keeps any topological order valid, so nothing moves.
+        """
+        for e in edges:
+            left = self.count[e] - 1
+            if left:
+                self.count[e] = left
+            else:
+                del self.count[e]
+                u, v = e
+                self.out[u].discard(v)
+                self.in_[v].discard(u)
 
 
 def _extend_to_permutation(n: int, prefix: Sequence[int]) -> Permutation:
@@ -418,24 +437,21 @@ def tau_greedy(
     cs = copies if copies is not None else enumerate_copies(g, h, cap)
     count = len(cs.copies)
     scan = substream(seed).permutation(count) if count else []
-    groups: list[_DynamicDag] = []
+    groups: list[_Group] = []
     assignment = [0] * count
     for i in scan:
-        copy = cs.copies[int(i)]
-        for gi, dd in enumerate(groups):
-            if dd.try_add(copy.edges):
-                assignment[int(i)] = gi
+        edges = cs.copies[int(i)].edges
+        for gi, group in enumerate(groups):
+            if group.can_add(edges):
                 break
         else:
-            dd = _DynamicDag()
-            if not dd.try_add(copy.edges):
-                raise AssertionError("a single copy is always acyclic")
-            groups.append(dd)
-            assignment[int(i)] = len(groups) - 1
-    perms = tuple(
-        _extend_to_permutation(cs.host.n, dd.topological_vertices()) for dd in groups
-    )
-    solution = CoverSolution(permutations=perms, assignment=tuple(assignment))
+            group = _Group()
+            groups.append(group)
+            gi = len(groups) - 1
+        group.add(edges)
+        assignment[int(i)] = gi
+    perms = tuple(_extend_to_permutation(cs.host.n, group.order) for group in groups)
+    solution = CoverSolution(permutations=perms, assignment=tuple(assignment), truncated=cs.truncated)
     if not solution.covers(cs.copies):
         raise AssertionError("greedy cover failed verification")
     return solution
@@ -483,16 +499,23 @@ def tau_lower_clique(
 
 @dataclass(frozen=True)
 class TauExactResult:
+    """Bounds on tau over the copies in the set, exact only when they meet.
+
+    A truncated copy set is never exact: `lower` still bounds the true
+    tau from below, but `upper` covers only the copies found.
+    """
+
     lower: int
     upper: int
     exact: bool
-    solution: Optional[CoverSolution]
+    solution: CoverSolution
     nodes: int
+    truncated: bool = False
 
     @property
     def value(self) -> int:
         if not self.exact:
-            raise InvalidInputError("budget exceeded; only bounds are available")
+            raise InvalidInputError("node budget or copy cap hit; only bounds are available")
         return self.upper
 
 
@@ -514,14 +537,16 @@ def tau_exact(
     pairwise incompatible and group labels are interchangeable), the
     next copy branched on is always one with the fewest compatible open
     groups, and a copy may open at most one new group.  If the node
-    budget runs out the result degrades to (lower, upper) bounds.
+    budget runs out, or the copy set is truncated, the result degrades
+    to (lower, upper) bounds.
     """
     cs = copies if copies is not None else enumerate_copies(g, h, cap)
     items = cs.copies
     count = len(items)
     if count == 0:
-        empty = CoverSolution(permutations=(), assignment=())
-        return TauExactResult(lower=0, upper=0, exact=True, solution=empty, nodes=0)
+        empty = CoverSolution(permutations=(), assignment=(), truncated=cs.truncated)
+        return TauExactResult(lower=0, upper=0, exact=not cs.truncated, solution=empty, nodes=0,
+                              truncated=cs.truncated)
     if count > MAX_EXACT_COPIES:
         raise SizeLimitError(
             f"exact tau needs a pairwise conflict table; limited to {MAX_EXACT_COPIES} copies, got {count}"
@@ -551,48 +576,25 @@ def tau_exact(
     best_size = greedy.size
     best_assign = list(greedy.assignment)
     if lower == best_size:
-        return TauExactResult(lower=lower, upper=best_size, exact=True, solution=greedy, nodes=0)
+        return TauExactResult(lower=lower, upper=best_size, exact=not cs.truncated, solution=greedy,
+                              nodes=0, truncated=cs.truncated)
 
     anchor = sorted(best_clique)
     rest = [i for i in range(count) if i not in set(anchor)]
 
     assignment = [-1] * count
-    group_edges: list[dict[Edge, int]] = []
+    groups: list[_Group] = []
     group_mask: list[int] = []
 
     def open_group(first: int) -> None:
-        edges: dict[Edge, int] = {}
-        for e in items[first].edges:
-            edges[e] = 1
-        group_edges.append(edges)
+        group = _Group()
+        group.add(items[first].edges)
+        groups.append(group)
         group_mask.append(1 << first)
-        assignment[first] = len(group_edges) - 1
+        assignment[first] = len(groups) - 1
 
     for a in anchor:
         open_group(a)
-
-    def can_join(i: int, gi: int) -> bool:
-        if conflict_mask[i] & group_mask[gi]:
-            return False
-        union = set(group_edges[gi])
-        union.update(items[i].edges)
-        return _edges_acyclic(union)
-
-    def join(i: int, gi: int) -> None:
-        for e in items[i].edges:
-            group_edges[gi][e] = group_edges[gi].get(e, 0) + 1
-        group_mask[gi] |= 1 << i
-        assignment[i] = gi
-
-    def leave(i: int, gi: int) -> None:
-        for e in items[i].edges:
-            cnt = group_edges[gi][e] - 1
-            if cnt:
-                group_edges[gi][e] = cnt
-            else:
-                del group_edges[gi][e]
-        group_mask[gi] &= ~(1 << i)
-        assignment[i] = -1
 
     nodes = 0
 
@@ -601,7 +603,7 @@ def tau_exact(
         nodes += 1
         if nodes > budget:
             raise _Budget
-        used = len(group_edges)
+        used = len(groups)
         if used >= best_size:
             return
         if not remaining:
@@ -619,45 +621,48 @@ def tau_exact(
                 if opts == 0:
                     break
         i = remaining[pick_at]
+        edges = items[i].edges
         others = remaining[:pick_at] + remaining[pick_at + 1:]
         for gi in range(used):
-            if can_join(i, gi):
-                join(i, gi)
+            if not conflict_mask[i] & group_mask[gi] and groups[gi].can_add(edges):
+                groups[gi].add(edges)
+                group_mask[gi] |= 1 << i
+                assignment[i] = gi
                 search(others)
-                leave(i, gi)
+                groups[gi].remove(edges)
+                group_mask[gi] &= ~(1 << i)
         if used + 1 < best_size:
             open_group(i)
             search(others)
-            group_edges.pop()
+            groups.pop()
             group_mask.pop()
-            assignment[i] = -1
+        assignment[i] = -1
 
-    exact = True
+    complete = True
     try:
         search(rest)
     except _Budget:
-        exact = False
+        complete = False
 
-    solution: Optional[CoverSolution] = None
-    if exact or best_assign is not None:
-        n_groups = max(best_assign) + 1 if best_assign else 0
-        unions: list[set[Edge]] = [set() for _ in range(n_groups)]
-        for idx, gi in enumerate(best_assign):
-            unions[gi] |= items[idx].edges
-        perms = []
-        for union in unions:
-            order = topological_order(Digraph._from_trusted(g.n, frozenset(union)))
-            assert order is not None
-            perms.append(order)
-        solution = CoverSolution(permutations=tuple(perms), assignment=tuple(best_assign))
-        if not solution.covers(items):
-            raise AssertionError("exact cover failed verification")
+    unions: list[set[Edge]] = [set() for _ in range(best_size)]
+    for idx, gi in enumerate(best_assign):
+        unions[gi] |= items[idx].edges
+    perms = []
+    for union in unions:
+        order = topological_order(Digraph._from_trusted(g.n, frozenset(union)))
+        assert order is not None
+        perms.append(order)
+    solution = CoverSolution(permutations=tuple(perms), assignment=tuple(best_assign),
+                             truncated=cs.truncated)
+    if not solution.covers(items):
+        raise AssertionError("exact cover failed verification")
     return TauExactResult(
-        lower=lower if not exact else best_size,
+        lower=best_size if complete else lower,
         upper=best_size,
-        exact=exact,
+        exact=complete and not cs.truncated,
         solution=solution,
         nodes=nodes,
+        truncated=cs.truncated,
     )
 
 

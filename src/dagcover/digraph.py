@@ -168,22 +168,29 @@ def forward_count(edges: Iterable[Edge], p: Permutation) -> int:
     return sum(1 for u, v in edges if pos[u] < pos[v])
 
 
-def is_dag(g: Digraph) -> bool:
-    """True iff g has no directed cycle (Kahn peel)."""
-    indeg = [0] * g.n
-    for _, v in g.edges:
-        indeg[v] += 1
-    stack = [v for v in range(g.n) if indeg[v] == 0]
+def edges_acyclic(edges: Iterable[Edge]) -> bool:
+    """True iff the edges close no directed cycle (Kahn peel over their endpoints)."""
+    out: dict[int, list[int]] = {}
+    indeg: dict[int, int] = {}
+    for u, v in edges:
+        out.setdefault(u, []).append(v)
+        indeg[v] = indeg.get(v, 0) + 1
+        indeg.setdefault(u, 0)
+    stack = [v for v, d in indeg.items() if d == 0]
     seen = 0
-    out = g.out_adj
     while stack:
         u = stack.pop()
         seen += 1
-        for w in out[u]:
+        for w in out.get(u, ()):
             indeg[w] -= 1
             if indeg[w] == 0:
                 stack.append(w)
-    return seen == g.n
+    return seen == len(indeg)
+
+
+def is_dag(g: Digraph) -> bool:
+    """True iff g has no directed cycle."""
+    return edges_acyclic(g.edges)
 
 
 def topological_order(g: Digraph) -> Optional[Permutation]:

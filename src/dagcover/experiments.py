@@ -92,6 +92,8 @@ class SweepConfig:
             raise InvalidInputError(f"a* must be positive, got {self.a_star}")
         if list(self.n_values) != sorted(self.n_values) or not self.n_values:
             raise InvalidInputError("n_values must be a non-empty ascending list")
+        if self.n_values[0] < 1:
+            raise InvalidInputError(f"n_values must be >= 1, got {self.n_values[0]}")
         if self.samples < 1:
             raise InvalidInputError(f"samples must be >= 1, got {self.samples}")
         if self.mode not in SWEEP_MODES:
@@ -193,6 +195,8 @@ def threshold_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRow]:
     the censored column counts samples whose copy enumeration hit the
     cap.  Output is independent of `jobs`.
     """
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     skew: Optional[SkewReport] = None
     if cfg.mode == "skew_pipeline":
         if is_rooted_star(cfg.pattern):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Iterable, Sequence
 
-from .digraph import Digraph, Permutation, forward_count, is_dag, is_rooted_star
+from .digraph import Digraph, Permutation, forward_count, is_dag, is_rooted_star, topological_order
 from .errors import InvalidInputError, SizeLimitError
 from .rng import substream
 
@@ -95,29 +95,6 @@ def _check_pattern(h: Digraph) -> None:
         raise InvalidInputError("skewness is computed for dag patterns only")
 
 
-def _topo_within(h: Digraph, block: frozenset[int]) -> list[int]:
-    """Topological order of the induced sub-dag on `block`, lowest vertex first."""
-    indeg = {v: 0 for v in block}
-    for u, v in h.edges:
-        if u in block and v in block:
-            indeg[v] += 1
-    order: list[int] = []
-    ready = sorted((v for v in block if indeg[v] == 0), reverse=True)
-    while ready:
-        u = ready.pop()
-        order.append(u)
-        changed = False
-        for w in h.out_adj[u]:
-            if w in block:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-                    changed = True
-        if changed:
-            ready.sort(reverse=True)
-    return order
-
-
 def _quotient(h: Digraph, assign: Sequence[int], k: int) -> tuple[int, list[list[int]]]:
     """(# inside edges, k x k cross-edge count matrix)."""
     inside = 0
@@ -171,7 +148,9 @@ def _best_block_order(w: list[list[int]], k: int) -> tuple[int, list[int]]:
 def _order_for_blocks(h: Digraph, blocks: Sequence[frozenset[int]], seq: Sequence[int]) -> Permutation:
     order: list[int] = []
     for b in seq:
-        order.extend(_topo_within(h, blocks[b]))
+        # lowest-first peel of the induced sub-dag; vertices outside the block are isolated there
+        within = topological_order(Digraph._from_trusted(h.n, h.edges_within(blocks[b])))
+        order.extend(v for v in within.order if v in blocks[b])
     return Permutation(order)
 
 

@@ -195,3 +195,57 @@ def test_size_limit_exit_3(capsys, tmp_path):
     big = graph_file(tmp_path, "big.txt", __import__("dagcover").make_directed_path(11))
     code, _, err = run_cli(capsys, "skewness", big)
     assert code == 3 and err
+
+
+def assert_one_line_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", [["--greedy", "--seed", "1"], ["--bounds", "--seed", "1"], ["--exact"]])
+def test_tau_truncated_exits_4(capsys, tmp_path, mode):
+    host = graph_file(tmp_path, "k6.txt", complete(6))  # 120 T3 copies, tau >= 6
+    pattern = graph_file(tmp_path, "t3.txt", make_transitive_tournament(3))
+    code, out, _ = run_cli(capsys, "tau", host, pattern, *mode, "--cap", "2")
+    assert code == 4
+    assert out.splitlines()[-1].startswith("# truncated: copy cap hit")
+    assert not out.startswith("tau =")
+
+    code, out, _ = run_cli(capsys, "tau", host, pattern, *mode, "--cap", "2", "--format", "json")
+    assert code == 4
+    obj = json.loads(out)
+    assert obj["truncated"] is True and obj.get("exact") is not True
+
+
+@pytest.mark.parametrize("args", [["Th", "x"], ["star", "4.5"], ["star", "x", "sink"], ["path", "two"]])
+def test_catalog_non_integer_exit_2(capsys, args):
+    code, out, err = run_cli(capsys, "catalog", *args)
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
+def write_sweep(tmp_path, **overrides):
+    config = {"pattern": "Th 3", "a_star": "5/4", "n_values": [20], "samples": 1, "seed": 1,
+              "mode": "dagness"}
+    config.update(overrides)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_sweep_empty_pattern_exit_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "sweep", write_sweep(tmp_path, pattern=""))
+    assert_one_line_error(code, err)
+
+
+@pytest.mark.parametrize("n_values", [[0, 20], [-5, 20]])
+def test_sweep_nonpositive_n_exit_2(capsys, tmp_path, n_values):
+    code, _, err = run_cli(capsys, "sweep", write_sweep(tmp_path, n_values=n_values))
+    assert_one_line_error(code, err)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_exit_2(capsys, tmp_path, jobs):
+    code, out, err = run_cli(capsys, "sweep", write_sweep(tmp_path), "--jobs", jobs)
+    assert_one_line_error(code, err)
+    assert out == ""

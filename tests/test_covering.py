@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from dagcover.covering import (
     Copy,
-    _DynamicDag,
+    _Group,
     compatible,
     consistent_sets,
     enumerate_copies,
@@ -29,6 +30,7 @@ from dagcover.digraph import (
     reverse,
 )
 from dagcover.errors import InfeasibleSizeError, InvalidInputError, SizeLimitError
+from dagcover.experiments import sample_digraph
 from dagcover.rng import substream
 from dagcover.skewness import Partition
 
@@ -119,28 +121,38 @@ def test_compatible_monotone_under_superset():
             assert not compatible(chosen)
 
 
-def test_dynamic_dag_matches_batch_recompute():
+def test_group_matches_batch_recompute():
     rng = random.Random(21)
     for _ in range(60):
-        dd = _DynamicDag()
-        accepted: set = set()
+        group = _Group()
+        members: list = []  # edge batches added and not yet removed
         for _ in range(30):
-            batch = {
-                (rng.randrange(8), rng.randrange(8)) for _ in range(rng.randint(1, 3))
-            }
-            batch = {(u, v) for u, v in batch if u != v}
-            if not batch:
-                continue
-            would_be = accepted | batch
-            expected = is_dag(Digraph(8, would_be))
-            got = dd.try_add(batch)
-            assert got == expected
-            if got:
-                accepted = would_be
-            # incremental order must stay a topological order of accepted edges
-            pos = {v: i for i, v in enumerate(dd.order)}
-            assert all(pos[u] < pos[v] for u, v in accepted)
-            assert dd.edges == accepted
+            if members and rng.random() < 0.25:
+                group.remove(members.pop(rng.randrange(len(members))))
+            else:
+                batch = {
+                    (rng.randrange(8), rng.randrange(8)) for _ in range(rng.randint(1, 3))
+                }
+                batch = {(u, v) for u, v in batch if u != v}
+                if not batch:
+                    continue
+                union = set().union(*members)
+                got = group.can_add(batch)
+                assert got == is_dag(Digraph(8, union | batch))
+                if not got:
+                    continue
+                group.add(batch)
+                members.append(batch)
+            # the order must stay topological and the edge set exact, with its holder counts
+            union = set().union(*members)
+            pos = {v: i for i, v in enumerate(group.order)}
+            assert all(pos[u] < pos[v] for u, v in union)
+            assert group.count == Counter(e for batch in members for e in batch)
+    # a cycle that alternates between old vertices and two vertices new to the group
+    group = _Group()
+    group.add({(0, 2), (1, 3)})
+    assert not group.can_add({(5, 0), (0, 6), (6, 1), (1, 5)})
+    assert group.can_add({(5, 0), (0, 6), (6, 1), (5, 1)})
 
 
 def test_tau_greedy():
@@ -194,6 +206,46 @@ def test_tau_exact_budget_degrades_to_bounds():
     full = tau_exact(complete_digraph(5), T3, budget=5_000_000)
     assert full.exact
     assert res.lower <= full.value <= res.upper
+
+
+def test_truncated_copy_set_is_never_exact():
+    k6 = complete_digraph(6)  # 120 T3 copies, tau >= 6
+    res = tau_exact(k6, T3, cap=2)
+    assert res.truncated and not res.exact and res.solution.truncated
+    with pytest.raises(InvalidInputError):
+        _ = res.value
+    none_kept = tau_exact(k6, T3, cap=0)
+    assert none_kept.truncated and not none_kept.exact
+    assert tau_greedy(k6, T3, seed=1, cap=2).truncated
+    assert not tau_greedy(k6, T3, seed=1).truncated
+    assert not tau_exact(complete_digraph(3), T3).truncated
+
+
+def test_seeded_covers_pinned():
+    # values recorded before the group engine was unified; they must not move
+    g = sample_digraph(8, 0.45, 24)
+    greedy = tau_greedy(g, T3, seed=3)
+    assert greedy.assignment == (
+        1, 0, 1, 0, 1, 2, 2, 2, 0, 0, 0, 4, 3, 3, 2, 1, 1, 0, 0, 1, 0, 0, 2, 1, 1
+    )
+    assert [list(p.order) for p in greedy.permutations] == [
+        [7, 2, 6, 0, 3, 4, 5, 1],
+        [6, 2, 4, 7, 0, 1, 3, 5],
+        [4, 1, 7, 6, 0, 5, 2, 3],
+        [3, 1, 4, 7, 0, 2, 5, 6],
+        [1, 3, 4, 0, 2, 5, 6, 7],
+    ]
+    res = tau_exact(g, T3)
+    assert (res.lower, res.upper, res.exact, res.nodes) == (4, 4, True, 2118)
+    assert res.solution.assignment == (
+        1, 2, 0, 1, 0, 1, 0, 1, 2, 1, 0, 1, 3, 2, 0, 3, 3, 2, 1, 3, 0, 0, 3, 3, 0
+    )
+    assert [list(p.order) for p in res.solution.permutations] == [
+        [6, 3, 4, 0, 1, 5, 2, 7],
+        [6, 7, 0, 2, 5, 1, 3, 4],
+        [5, 6, 7, 2, 0, 3, 1, 4],
+        [1, 2, 3, 4, 5, 6, 7, 0],
+    ]
 
 
 def test_tau_oracle_and_sandwich_random():
