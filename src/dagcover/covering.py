@@ -228,6 +228,8 @@ def enumerate_copies(g: Digraph, h: Digraph, cap: int = DEFAULT_COPY_CAP) -> Cop
     flagged, not an error.
     """
     _check_pattern(h)
+    if cap < 0:
+        raise InvalidInputError(f"copy cap must be >= 0, got {cap}")
     copies, truncated = _embed(g, h, cap)
     return CopySet(host=g, pattern=h, copies=tuple(copies), truncated=truncated)
 
@@ -436,7 +438,7 @@ def tau_greedy(
     union stays acyclic takes the copy, otherwise a new group opens."""
     cs = copies if copies is not None else enumerate_copies(g, h, cap)
     count = len(cs.copies)
-    scan = substream(seed).permutation(count) if count else []
+    scan = substream(seed).permutation(count)
     groups: list[_Group] = []
     assignment = [0] * count
     for i in scan:
@@ -474,9 +476,9 @@ def tau_lower_clique(
     would freeze the clique at size 1.
     """
     cs = copies if copies is not None else enumerate_copies(g, h, cap)
-    if not cs.copies:
-        return 0
     order = [int(i) for i in substream(seed).permutation(len(cs.copies))]
+    if not order:
+        return 0
     copy_edges: set[Edge] = set()
     for c in cs.copies:
         copy_edges |= c.edges

@@ -4,9 +4,10 @@ Two independent routes compute the same quantities:
 
 * ``densest_subset_enum`` enumerates all vertex subsets with bitmask
   DP (the oracle, n <= 20);
-* ``fractional_arboricity`` / ``maximal_density`` run a parametric
-  min-cut over the finite grid of candidate rationals p/q, entirely in
-  exact arithmetic.
+* ``fractional_arboricity`` / ``maximal_density`` run Dinkelbach
+  iteration (Dinkelbach 1967) on Goldberg's min-cut (one cut per root
+  for arboricity), entirely in exact arithmetic: each round's best cut
+  gives the next ratio, and the last round's maximal cuts the witness.
 
 Both accept directed and undirected graphs; a directed 2-cycle counts
 as two edges.  Isolated vertices never appear in a witness (they only
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .digraph import Digraph
 from .errors import InvalidInputError, SizeLimitError, UndefinedParameterError
@@ -155,7 +156,7 @@ def densest_subset_enum(g: Graph, kind: str = "arboricity") -> DensityReport:
     return DensityReport(value=value, witness=witness, totally_balanced=value == whole)
 
 
-# --- parametric min-cut route --------------------------------------------
+# --- Dinkelbach min-cut route --------------------------------------------
 
 class _Dinic:
     """Integer max-flow; arcs stored in pairs so arc^1 is the reverse arc."""
@@ -174,7 +175,7 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(0)
 
-    def _levels(self, s: int, t: int) -> list[int]:
+    def _levels(self, s: int) -> list[int]:
         level = [-1] * self.n
         level[s] = 0
         queue = [s]
@@ -190,7 +191,7 @@ class _Dinic:
         flow = 0
         to, cap, adj = self.to, self.cap, self.adj
         while True:
-            level = self._levels(s, t)
+            level = self._levels(s)
             if level[t] < 0:
                 return flow
             it = [0] * self.n
@@ -269,83 +270,57 @@ def _build_network(
     return net, sink
 
 
-def _exceeds(
+def _cuts(
     tokens: list[tuple[int, int]],
     active: list[int],
     lam: Fraction,
-    kind: str,
-) -> bool:
-    """Strict test: does some subset beat lam?
+    roots: Iterable[int | None],
+) -> Iterator[tuple[int, set[int]]]:
+    """Per root, the gain q*m - maxflow at lam = p/q and the maximal source side.
 
-    density:    exists S != {} with e(S) > lam*|S|     (single flow)
-    arboricity: exists S, |S| >= 2, e(S) > lam*(|S|-1) (one flow per root;
-                the root's sink capacity is zeroed so that the -lam shift
-                applies exactly once, which rules the empty set out of the
-                min-cut comparison)
+    The gain is q * max over S of [e(S) - lam*|S|] (root None, density)
+    or of [e(S) - lam*(|S|-1)] over S containing the root (arboricity:
+    the root's sink capacity is zeroed so that the -lam shift applies
+    exactly once).  It is never negative, and the maximal min-cut side
+    is a subset attaining it.  Yielded one root at a time, so a caller
+    that only needs a positive gain stops at the first.
     """
     p, q = lam.numerator, lam.denominator
-    target = q * len(tokens)
-    if kind == "density":
-        net, sink = _build_network(tokens, active, p, q, None)
-        return net.max_flow(0, sink) < target
-    for root in active:
-        net, sink = _build_network(tokens, active, p, q, root)
-        if net.max_flow(0, sink) < target:
-            return True
-    return False
-
-
-def _witness_at(
-    tokens: list[tuple[int, int]],
-    active: list[int],
-    value: Fraction,
-    kind: str,
-) -> tuple[int, ...]:
-    """Recover an optimal subset from a maximal min-cut at lam = value."""
-    p, q = value.numerator, value.denominator
     t_count = len(tokens)
-    roots: list[int | None] = list(active) if kind == "arboricity" else [None]
     for root in roots:
         net, sink = _build_network(tokens, active, p, q, root)
-        net.max_flow(0, sink)
+        gain = q * t_count - net.max_flow(0, sink)
         side = net.source_side_maximal(sink)
-        subset = {active[i - 1 - t_count] for i in side if i > t_count and i != sink}
-        if kind == "arboricity" and len(subset) < 2:
-            continue
-        if not subset:
-            continue
-        e = _count_within(tokens, subset)
-        den = len(subset) - 1 if kind == "arboricity" else len(subset)
-        if Fraction(e, den) == value:
-            return tuple(sorted(subset))
-    raise AssertionError("no witness found at the optimal ratio; parametric search is inconsistent")
-
-
-def _candidate_values(m: int, k: int, kind: str) -> list[Fraction]:
-    max_den = k - 1 if kind == "arboricity" else k
-    cands = {Fraction(p, q) for q in range(1, max_den + 1) for p in range(0, m + 1)}
-    return sorted(cands)
+        yield gain, {active[i - 1 - t_count] for i in side if i > t_count and i != sink}
 
 
 def _parametric_max(g: Graph, kind: str) -> DensityReport:
+    """Dinkelbach iteration: lam <- ratio of the subset with the largest gain.
+
+    lam starts at the ratio of all non-isolated vertices and rises
+    strictly while some gain is positive; when none is, lam is the
+    optimum and the same round's maximal cuts hold the witness.
+    """
     tokens = _check_input(g)
     active = _active_vertices(tokens)
-    cands = _candidate_values(len(tokens), len(active), kind)
-    lo, hi = 0, len(cands) - 1
-    # test(lam) true  <=>  optimum > lam; the largest candidate always fails it
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _exceeds(tokens, active, cands[mid], kind):
-            lo = mid + 1
-        else:
-            hi = mid
-    value = cands[lo]
-    witness = _witness_at(tokens, active, value, kind)
-    # self-consistency: re-evaluating the ratio on the witness must reproduce it
-    e = _count_within(tokens, set(witness))
-    den = len(witness) - 1 if kind == "arboricity" else len(witness)
-    if Fraction(e, den) != value:
-        raise AssertionError("witness does not reproduce the reported ratio")
+    roots: list[int | None] = list(active) if kind == "arboricity" else [None]
+    min_size = 2 if kind == "arboricity" else 1
+
+    def ratio(subset: set[int]) -> Fraction:
+        den = len(subset) - 1 if kind == "arboricity" else len(subset)
+        return Fraction(_count_within(tokens, subset), den)
+
+    value = ratio(set(active))
+    while True:
+        cuts = list(_cuts(tokens, active, value, roots))
+        gain, subset = max(cuts, key=lambda cut: cut[0])
+        if gain <= 0:
+            break
+        value = ratio(subset)
+    # self-consistency: the witness is a maximal cut whose recounted ratio reproduces the value
+    witness = next((tuple(sorted(s)) for _, s in cuts if len(s) >= min_size and ratio(s) == value), None)
+    if witness is None:
+        raise AssertionError("no witness reproduces the reported ratio; parametric search is inconsistent")
     whole = Fraction(len(tokens), g.n - 1 if kind == "arboricity" else g.n)
     return DensityReport(value=value, witness=witness, totally_balanced=value == whole)
 
@@ -372,4 +347,4 @@ def is_totally_balanced(g: Graph) -> bool:
     if g.isolated_vertices():
         raise InvalidInputError("balance test requires a graph without isolated vertices")
     active = _active_vertices(tokens)
-    return not _exceeds(tokens, active, Fraction(len(tokens), g.n - 1), "arboricity")
+    return not any(gain > 0 for gain, _ in _cuts(tokens, active, Fraction(len(tokens), g.n - 1), active))

@@ -98,6 +98,8 @@ class SweepConfig:
             raise InvalidInputError(f"samples must be >= 1, got {self.samples}")
         if self.mode not in SWEEP_MODES:
             raise InvalidInputError(f"mode must be one of {SWEEP_MODES}, got {self.mode!r}")
+        if self.cap < 0:
+            raise InvalidInputError(f"cap must be >= 0, got {self.cap}")
 
     def edge_probability(self, n: int) -> float:
         return float(n) ** (-1.0 / float(self.a_star))

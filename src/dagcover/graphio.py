@@ -51,6 +51,11 @@ def format_edge_list(g: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int(x: object) -> bool:
+    """JSON integers only: bool is an int subclass, and floats would be truncated."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_graph_json(text: str) -> Digraph:
     try:
         obj = json.loads(text)
@@ -58,12 +63,18 @@ def parse_graph_json(text: str) -> Digraph:
         raise InvalidInputError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InvalidInputError('graph JSON needs keys "n" and "edges"')
-    pairs = [tuple(e) for e in obj["edges"]]
-    if any(len(e) != 2 for e in pairs):
-        raise InvalidInputError("each edge must be a pair [u, v]")
+    n, edges = obj["n"], obj["edges"]
+    if not _is_int(n):
+        raise InvalidInputError(f'"n" must be an integer, got {n!r}')
+    if not isinstance(edges, list):
+        raise InvalidInputError(f'"edges" must be a list, got {edges!r}')
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
+            raise InvalidInputError(f"each edge must be a pair [u, v] of integers, got {e!r}")
+    pairs = [(u, v) for u, v in edges]
     if len(set(pairs)) != len(pairs):
         raise InvalidInputError("duplicate edge in JSON input")
-    return Digraph(int(obj["n"]), pairs)  # type: ignore[arg-type]
+    return Digraph(n, pairs)
 
 
 def format_graph_json(g: Digraph) -> str:

@@ -21,6 +21,8 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for (seed, path); at most 3 path components."""
     if seed < 0:
         raise InvalidInputError(f"seed must be non-negative, got {seed}")
+    if seed >= 1 << 128:
+        raise InvalidInputError(f"seed must be below 2**128 (the Philox key width), got {seed}")
     if len(path) > 3:
         raise InvalidInputError("stream path is limited to 3 components")
     if any(c < 0 or c > _MASK64 for c in path):

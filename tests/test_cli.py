@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dagcover import cli, graphio
-from dagcover.digraph import make_transitive_tournament
+from dagcover.digraph import make_directed_path, make_transitive_tournament
 
 
 def run_cli(capsys, *argv):
@@ -247,5 +247,69 @@ def test_sweep_nonpositive_n_exit_2(capsys, tmp_path, n_values):
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_jobs_below_one_exit_2(capsys, tmp_path, jobs):
     code, out, err = run_cli(capsys, "sweep", write_sweep(tmp_path), "--jobs", jobs)
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
+def test_tau_negative_cap_exit_2(capsys, tmp_path):
+    host = graph_file(tmp_path, "t4.txt", make_transitive_tournament(4))
+    pattern = graph_file(tmp_path, "t3.txt", make_transitive_tournament(3))
+    code, out, err = run_cli(capsys, "tau", host, pattern, "--greedy", "--seed", "1", "--cap", "-1")
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
+def test_gh_negative_cap_exit_2(capsys, tmp_path):
+    host = graph_file(tmp_path, "t4.txt", make_transitive_tournament(4))
+    pattern = graph_file(tmp_path, "t3.txt", make_transitive_tournament(3))
+    code, out, err = run_cli(capsys, "gh", host, pattern, "--cap", "-1")
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
+def test_sweep_negative_cap_exit_2(capsys, tmp_path):
+    # skew_pipeline never enumerates copies, so the config itself must reject the cap
+    path = write_sweep(tmp_path, cap=-1, mode="skew_pipeline")
+    code, out, err = run_cli(capsys, "sweep", path)
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": "abc", "edges": []}',
+        '{"n": true, "edges": [[0, 1]]}',
+        '{"n": 3, "edges": [1, 2]}',
+        '{"n": 3, "edges": [[0.7, 1.2], [1, 2]]}',
+        '{"n": 3, "edges": [[0, true], [1, 2]]}',
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+        '{"n": 3, "edges": {"0": 1}}',
+    ],
+)
+def test_params_malformed_json_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "params", str(path))
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
+def test_params_non_utf8_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe2 1\n0 1\n")
+    code, out, err = run_cli(capsys, "params", str(path))
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("mode", ["--greedy", "--bounds"])
+@pytest.mark.parametrize("host_graph", [make_transitive_tournament(4), make_directed_path(2)])
+def test_tau_seed_beyond_key_width_exit_2(capsys, tmp_path, mode, host_graph):
+    # the path has no T3 copy, so the seed must be checked even with nothing to shuffle
+    host = graph_file(tmp_path, "host.txt", host_graph)
+    pattern = graph_file(tmp_path, "t3.txt", make_transitive_tournament(3))
+    seed = str(5 + 2**128)  # would alias seed 5
+    code, out, err = run_cli(capsys, "tau", host, pattern, mode, "--seed", seed)
     assert_one_line_error(code, err)
     assert out == ""

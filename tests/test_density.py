@@ -10,14 +10,14 @@ from dagcover.density import (
     is_totally_balanced,
     maximal_density,
 )
-from dagcover.density import _active_vertices, _check_input, _exceeds  # candidate-grid invariant
+from dagcover.density import _active_vertices, _check_input, _cuts  # candidate-grid invariant
 from dagcover.digraph import Digraph, make_transitive_tournament
 from dagcover.errors import (
     InvalidInputError,
     SizeLimitError,
     UndefinedParameterError,
 )
-from dagcover.experiments import figure1_graph
+from dagcover.experiments import figure1_graph, sample_undirected
 
 from oracles import random_digraph, random_tree
 
@@ -137,10 +137,94 @@ def test_candidate_grid_completeness():
         m, k = len(tokens), len(active)
         value = fractional_arboricity(g).value
         assert value.numerator <= m and value.denominator <= k - 1
-        # the value itself is not strictly beatable, but anything below it is
-        assert not _exceeds(tokens, active, value, "arboricity")
+        # no gain is positive at the value itself, but some gain is just below it
+        assert not any(gain > 0 for gain, _ in _cuts(tokens, active, value, active))
         probe = value - Fraction(1, 2 * (m + 1) * (k + 1))
-        assert _exceeds(tokens, active, probe, "arboricity")
+        assert any(gain > 0 for gain, _ in _cuts(tokens, active, probe, active))
+
+
+def test_balance_matches_enum_random():
+    rng = random.Random(58)
+    checked = 0
+    for _ in range(120):
+        g = random_digraph(rng, rng.randint(2, 10), rng.choice([0.2, 0.4, 0.7]))
+        if g.edge_count == 0 or g.isolated_vertices():
+            continue
+        checked += 1
+        whole = Fraction(g.edge_count, g.n - 1)
+        assert is_totally_balanced(g) == (densest_subset_enum(g).value == whole), g
+    assert checked >= 60
+
+
+# (arboricity value, witness bitmask, balanced, density value, witness bitmask, balanced),
+# recorded from the candidate-grid search that Dinkelbach iteration replaced
+PINNED_REPORTS = [
+    ('106/15', 0xffffff7f, False, '219/32', 0xffffffff, True),
+    ('49/6', 0xfffffeff, False, '253/32', 0xffffffff, True),
+    ('253/31', 0xffffffff, True, '253/32', 0xffffffff, True),
+    ('240/31', 0xffffffff, True, '15/2', 0xffffffff, True),
+    ('238/31', 0xffffffff, True, '119/16', 0xffffffff, True),
+    ('267/31', 0xffffffff, True, '267/32', 0xffffffff, True),
+    ('29/8', 0x1ff, True, '29/9', 0x1ff, True),
+    ('11/3', 0xf, True, '11/4', 0xf, True),
+    ('19/5', 0x3f, True, '19/6', 0x3f, True),
+    ('2/1', 0xe, False, '4/3', 0xe, False),
+    ('37/9', 0x7fe, False, '37/10', 0x7fe, False),
+    ('49/11', 0x1dff, False, '49/12', 0x1dff, False),
+    ('3/1', 0x7, True, '2/1', 0x7, True),
+    ('7/3', 0x3c, False, '7/4', 0x3c, False),
+    ('8/1', 0x1ff, True, '64/9', 0x1ff, True),
+    ('19/5', 0x3f, True, '19/6', 0x3f, True),
+    ('4/1', 0x7f, True, '24/7', 0x7f, True),
+    ('1/1', 0x34, False, '2/3', 0x34, False),
+    ('25/7', 0x6cf, False, '16/5', 0x7df, False),
+    ('93/10', 0x7ff, True, '93/11', 0x7ff, True),
+    ('5/3', 0xb2, False, '4/3', 0xfa, False),
+    ('3/1', 0x7, True, '2/1', 0x7, True),
+    ('3/1', 0x7f, True, '18/7', 0x7f, True),
+    ('149/12', 0x1fff, True, '149/13', 0x1fff, True),
+    ('16/5', 0x6f, False, '8/3', 0x6f, False),
+    ('109/13', 0x3fff, True, '109/14', 0x3fff, True),
+    ('5/3', 0xf, True, '5/4', 0xf, True),
+    ('106/13', 0x3fff, True, '53/7', 0x3fff, True),
+    ('9/5', 0xe7, False, '3/2', 0xe7, False),
+    ('63/8', 0x1ff, True, '7/1', 0x1ff, True),
+    ('2/1', 0x6, False, '6/5', 0x346, False),
+    ('35/3', 0x1fff, True, '140/13', 0x1fff, True),
+    ('53/11', 0xfff, True, '53/12', 0xfff, True),
+    ('9/2', 0x3b, False, '11/3', 0x3f, True),
+    ('2/1', 0xc, False, '11/7', 0xbf, False),
+    ('29/7', 0xff, True, '29/8', 0xff, True),
+    ('3/2', 0x7, True, '1/1', 0x7, True),
+    ('3/2', 0x51, False, '1/1', 0x53, False),
+    ('113/13', 0x3fff, True, '113/14', 0x3fff, True),
+    ('1/1', 0x9, False, '1/2', 0x9, False),
+    ('39/8', 0x1ff, True, '13/3', 0x1ff, True),
+    ('78/11', 0xfff, True, '13/2', 0xfff, True),
+    ('84/11', 0xfff, True, '7/1', 0xfff, True),
+    ('79/9', 0x3ff, True, '79/10', 0x3ff, True),
+    ('76/9', 0x3ff, True, '38/5', 0x3ff, True),
+    ('43/8', 0x1ff, True, '43/9', 0x1ff, True),
+    ('3/2', 0x7, False, '1/1', 0x7f, True),
+]
+
+
+def test_density_reports_pinned():
+    graphs = [sample_undirected(32, 0.5, 7, i) for i in range(6)]
+    rng = random.Random(2024)
+    while len(graphs) < 46:
+        g = random_digraph(rng, rng.randint(2, 14), rng.choice([0.15, 0.35, 0.6, 0.9]))
+        if g.edge_count:
+            graphs.append(g)
+    # two disjoint optimal triangles: the witness is the first root's, {0, 1, 2}
+    graphs.append(Digraph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (4, 6)]))
+
+    def pin(rep):
+        mask = sum(1 << v for v in rep.witness)
+        return f"{rep.value.numerator}/{rep.value.denominator}", mask, rep.totally_balanced
+
+    got = [pin(fractional_arboricity(g)) + pin(maximal_density(g)) for g in graphs]
+    assert got == PINNED_REPORTS
 
 
 def test_undirected_two_cycle_counting():

@@ -16,6 +16,7 @@ from dagcover.experiments import (
     sample_undirected,
     threshold_sweep,
 )
+from dagcover.rng import substream
 
 from oracles import complete_digraph
 
@@ -53,6 +54,13 @@ def test_sampling_deterministic_and_streams_independent():
     assert a == b
     c = sample_digraph(40, 0.2, seed=5, sample_index=8)
     assert a != c
+
+
+def test_substream_seed_range():
+    substream(2**128 - 1)
+    for seed in (-1, 2**128, 5 + 2**128):  # 5 + 2**128 would alias seed 5
+        with pytest.raises(InvalidInputError):
+            substream(seed)
 
 
 def test_sweep_config_validation():
