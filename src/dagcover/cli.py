@@ -247,11 +247,19 @@ def _cmd_pipeline(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _config_int(value: object, key: str) -> int:
+    if not graphio.is_json_int(value):
+        raise TypeError(f'"{key}" must hold integers, got {json.dumps(value)}')
+    return value
+
+
 def _parse_sweep_config(text: str) -> SweepConfig:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"bad sweep config JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InvalidInputError("sweep config must be a JSON object")
     pattern_spec = obj.get("pattern")
     if isinstance(pattern_spec, dict):
         pattern = graphio.parse_graph_json(json.dumps(pattern_spec))
@@ -263,20 +271,22 @@ def _parse_sweep_config(text: str) -> SweepConfig:
     else:
         raise InvalidInputError('sweep config needs "pattern" (graph object or catalog string)')
     try:
-        a_star = Fraction(str(obj["a_star"]))
+        perm_factor = obj.get("perm_factor", 1.0)
+        if isinstance(perm_factor, bool) or not isinstance(perm_factor, (int, float)):
+            raise TypeError(f'"perm_factor" must be a number, got {json.dumps(perm_factor)}')
         return SweepConfig(
             pattern=pattern,
-            a_star=a_star,
-            n_values=tuple(int(n) for n in obj["n_values"]),
-            samples=int(obj["samples"]),
-            seed=int(obj["seed"]),
+            a_star=Fraction(str(obj["a_star"])),
+            n_values=tuple(_config_int(n, "n_values") for n in obj["n_values"]),
+            samples=_config_int(obj["samples"], "samples"),
+            seed=_config_int(obj["seed"], "seed"),
             mode=str(obj["mode"]),
-            cap=int(obj.get("cap", 10**6)),
-            perm_factor=float(obj.get("perm_factor", 1.0)),
+            cap=_config_int(obj.get("cap", 10**6), "cap"),
+            perm_factor=float(perm_factor),
         )
     except KeyError as exc:
         raise InvalidInputError(f"sweep config missing key: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InvalidInputError(f"bad sweep config value: {exc}") from exc
 
 

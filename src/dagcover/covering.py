@@ -14,8 +14,11 @@ suite confirms the equivalence.
 
 `_Group` is the one group engine: an acyclic copy union with a
 topological order, grown by a read-only `can_add` and an `add` that
-cannot fail, and shrunk by `remove`.  The greedy cover and the exact
-search both build their groups with it.
+cannot fail, and shrunk by `remove`.  It decides every copy-family
+question: the greedy cover and the exact search build their groups
+with it, a pair of copies conflicts when a one-copy group cannot add
+the other (the exact search's conflict table), the clique lower bound
+keeps one group per member, and `compatible` grows one group.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .digraph import (
     Digraph,
     Edge,
     Permutation,
-    edges_acyclic,
     forward_count,
     is_dag,
     is_rooted_star,
@@ -274,24 +276,6 @@ def tau_le_one(g: Digraph, h: Digraph, cap: int = DEFAULT_COPY_CAP) -> TauOneRes
     return TauOneResult(acyclic=False, order=None, cycle=tuple(cyc), truncated=truncated, union=gh)
 
 
-# --- compatibility ---------------------------------------------------------
-
-def compatible(copies: Iterable[Copy]) -> bool:
-    """True iff one permutation can cover all given copies (acyclic edge union)."""
-    union: set[Edge] = set()
-    for c in copies:
-        union |= c.edges
-    return edges_acyclic(union)
-
-
-def _conflict(a: Copy, b: Copy) -> bool:
-    """Pair conflict: no single permutation covers both."""
-    for u, v in a.edges:
-        if (v, u) in b.edges:
-            return True  # 2-cycle in the union
-    return not edges_acyclic(a.edges | b.edges)
-
-
 # --- a group of copies with an acyclic union ---------------------------------
 
 class _Group:
@@ -305,12 +289,14 @@ class _Group:
     [pos(v), pos(u)], swap within their own slots.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, edges: Iterable[Edge] = ()) -> None:
+        """A group holding `edges`, one acyclic copy, or nothing."""
         self.out: dict[int, set[int]] = {}
         self.in_: dict[int, set[int]] = {}
         self.pos: dict[int, int] = {}
         self.order: list[int] = []
         self.count: dict[Edge, int] = {}
+        self.add(edges)
 
     def can_add(self, edges: Collection[Edge]) -> bool:
         """True iff the union stays acyclic with `edges` added; changes nothing.
@@ -418,6 +404,16 @@ class _Group:
                 self.in_[v].discard(u)
 
 
+def compatible(copies: Iterable[Copy]) -> bool:
+    """True iff one permutation can cover all given copies (acyclic edge union)."""
+    group = _Group()
+    for c in copies:
+        if not group.can_add(c.edges):
+            return False
+        group.add(c.edges)
+    return True
+
+
 def _extend_to_permutation(n: int, prefix: Sequence[int]) -> Permutation:
     """Extension rule: the group's order first, remaining vertices by index."""
     seen = set(prefix)
@@ -445,12 +441,11 @@ def tau_greedy(
         edges = cs.copies[int(i)].edges
         for gi, group in enumerate(groups):
             if group.can_add(edges):
+                group.add(edges)
                 break
         else:
-            group = _Group()
-            groups.append(group)
-            gi = len(groups) - 1
-        group.add(edges)
+            gi = len(groups)
+            groups.append(_Group(edges))
         assignment[int(i)] = gi
     perms = tuple(_extend_to_permutation(cs.host.n, group.order) for group in groups)
     solution = CoverSolution(permutations=perms, assignment=tuple(assignment), truncated=cs.truncated)
@@ -487,13 +482,13 @@ def tau_lower_clique(
         if any((v, u) in copy_edges for u, v in cs.copies[i].edges):
             start = i
             break
-    clique: list[Copy] = [cs.copies[start]]
+    clique = [_Group(cs.copies[start].edges)]
     for i in order:
         if i == start:
             continue
-        cand = cs.copies[i]
-        if all(_conflict(cand, member) for member in clique):
-            clique.append(cand)
+        edges = cs.copies[i].edges
+        if not any(member.can_add(edges) for member in clique):
+            clique.append(_Group(edges))
     return len(clique)
 
 
@@ -542,6 +537,8 @@ def tau_exact(
     budget runs out, or the copy set is truncated, the result degrades
     to (lower, upper) bounds.
     """
+    if budget < 0:
+        raise InvalidInputError(f"node budget must be >= 0, got {budget}")
     cs = copies if copies is not None else enumerate_copies(g, h, cap)
     items = cs.copies
     count = len(items)
@@ -556,8 +553,9 @@ def tau_exact(
 
     conflict_mask = [0] * count
     for i in range(count):
+        alone = _Group(items[i].edges)
         for j in range(i + 1, count):
-            if _conflict(items[i], items[j]):
+            if not alone.can_add(items[j].edges):
                 conflict_mask[i] |= 1 << j
                 conflict_mask[j] |= 1 << i
 
@@ -589,9 +587,7 @@ def tau_exact(
     group_mask: list[int] = []
 
     def open_group(first: int) -> None:
-        group = _Group()
-        group.add(items[first].edges)
-        groups.append(group)
+        groups.append(_Group(items[first].edges))
         group_mask.append(1 << first)
         assignment[first] = len(groups) - 1
 

@@ -8,6 +8,10 @@ self-loops and duplicates are rejected.
 Every permutation splits a digraph into a "forward" and a "backward"
 spanning subgraph, both acyclic; this split is the basic move behind
 every covering computation in the package.
+
+One lowest-first Kahn peel over an edge set's endpoints answers every
+whole-graph acyclicity question: `is_dag` asks whether it finishes, and
+`topological_order` merges the untouched vertices into its order.
 """
 
 from __future__ import annotations
@@ -168,53 +172,48 @@ def forward_count(edges: Iterable[Edge], p: Permutation) -> int:
     return sum(1 for u, v in edges if pos[u] < pos[v])
 
 
-def edges_acyclic(edges: Iterable[Edge]) -> bool:
-    """True iff the edges close no directed cycle (Kahn peel over their endpoints)."""
+def _peel(edges: Iterable[Edge]) -> Optional[list[int]]:
+    """Lowest-first Kahn peel over the edges' endpoints only (its cost follows the edges).
+
+    Returns the endpoints in peel order, or None when the edges close a cycle.
+    """
     out: dict[int, list[int]] = {}
     indeg: dict[int, int] = {}
     for u, v in edges:
         out.setdefault(u, []).append(v)
         indeg[v] = indeg.get(v, 0) + 1
         indeg.setdefault(u, 0)
-    stack = [v for v, d in indeg.items() if d == 0]
-    seen = 0
-    while stack:
-        u = stack.pop()
-        seen += 1
+    heap = [v for v, d in indeg.items() if d == 0]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        u = heapq.heappop(heap)
+        order.append(u)
         for w in out.get(u, ()):
             indeg[w] -= 1
             if indeg[w] == 0:
-                stack.append(w)
-    return seen == len(indeg)
+                heapq.heappush(heap, w)
+    return order if len(order) == len(indeg) else None
 
 
 def is_dag(g: Digraph) -> bool:
     """True iff g has no directed cycle."""
-    return edges_acyclic(g.edges)
+    return _peel(g.edges) is not None
 
 
 def topological_order(g: Digraph) -> Optional[Permutation]:
     """A permutation with every edge forward, or None if g has a cycle.
 
     Ties are broken lowest-vertex-first so the result is reproducible.
+    Untouched vertices are free throughout, so merging them into the
+    peel by head keeps that rule over all n vertices.
     """
-    indeg = [0] * g.n
-    for _, v in g.edges:
-        indeg[v] += 1
-    heap = [v for v in range(g.n) if indeg[v] == 0]
-    heapq.heapify(heap)
-    order: list[int] = []
-    out = g.out_adj
-    while heap:
-        u = heapq.heappop(heap)
-        order.append(u)
-        for w in out[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
-    if len(order) != g.n:
+    order = _peel(g.edges)
+    if order is None:
         return None
-    return Permutation._from_trusted(tuple(order))
+    touched = set(order)
+    untouched = (v for v in range(g.n) if v not in touched)
+    return Permutation._from_trusted(tuple(heapq.merge(order, untouched)))
 
 
 def shortest_directed_cycle(g: Digraph) -> Optional[list[int]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -36,10 +36,7 @@ from .rng import substream
 from .skewness import SkewReport, skewness_exact
 
 SWEEP_MODES = ("dagness", "tau_stats", "skew_pipeline", "copy_count")
-CSV_COLUMNS = (
-    "n,p,samples,frac_gh_dag,mean_copies,tau_greedy_mean,tau_lower_mean,"
-    "pipeline_success,censored"
-)
+_DRAW_CHUNK = 1 << 20  # uniforms per block of sample_digraph; the n*n grid is never held whole
 
 
 def sample_digraph(n: int, p: float, seed: int, sample_index: int = 0) -> Digraph:
@@ -47,16 +44,21 @@ def sample_digraph(n: int, p: float, seed: int, sample_index: int = 0) -> Digrap
 
     Ordered pairs are examined in lexicographic order (uniforms are
     drawn for the full n*n grid, diagonal entries discarded, to keep the
-    indexing dense), so the stream layout is fixed.
+    indexing dense), so the stream layout is fixed.  The grid is drawn
+    in blocks of whole rows; consecutive draws continue one stream, so
+    the blocks read exactly the uniforms a single n*n draw would.
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"edge probability must lie in [0,1], got {p}")
     if n < 0:
         raise InvalidInputError(f"n must be >= 0, got {n}")
     rng = substream(seed, n, sample_index, 0)
-    draws = rng.random(n * n)
-    hits = np.flatnonzero(draws < p)
-    us, vs = np.divmod(hits, n)
+    rows = max(1, _DRAW_CHUNK // max(n, 1))
+    hits = [np.empty(0, dtype=np.intp)]
+    for first in range(0, n, rows):
+        draws = rng.random(min(rows, n - first) * n)
+        hits.append(np.flatnonzero(draws < p) + first * n)
+    us, vs = np.divmod(np.concatenate(hits), n)
     keep = us != vs
     edges = frozenset(zip(us[keep].tolist(), vs[keep].tolist()))
     return Digraph._from_trusted(n, edges)
@@ -88,8 +90,8 @@ class SweepConfig:
     perm_factor: float = 1.0  # skew_pipeline draws floor(perm_factor * log2 n) permutations
 
     def __post_init__(self):
-        if self.a_star <= 0:
-            raise InvalidInputError(f"a* must be positive, got {self.a_star}")
+        if self.a_star <= 0 or float(self.a_star) == 0.0:
+            raise InvalidInputError(f"a* must be positive and within float range, got {self.a_star}")
         if list(self.n_values) != sorted(self.n_values) or not self.n_values:
             raise InvalidInputError("n_values must be a non-empty ascending list")
         if self.n_values[0] < 1:
@@ -100,6 +102,8 @@ class SweepConfig:
             raise InvalidInputError(f"mode must be one of {SWEEP_MODES}, got {self.mode!r}")
         if self.cap < 0:
             raise InvalidInputError(f"cap must be >= 0, got {self.cap}")
+        if not 0.0 < self.perm_factor < math.inf:
+            raise InvalidInputError(f"perm_factor must be finite and > 0, got {self.perm_factor}")
 
     def edge_probability(self, n: int) -> float:
         return float(n) ** (-1.0 / float(self.a_star))
@@ -118,35 +122,14 @@ class SweepRow:
     censored: int = 0
 
     def to_csv_line(self) -> str:
-        def cell(x) -> str:
-            return "" if x is None else repr(x)
-
-        return ",".join(
-            [
-                str(self.n),
-                repr(self.p),
-                str(self.samples),
-                cell(self.frac_gh_dag),
-                cell(self.mean_copies),
-                cell(self.tau_greedy_mean),
-                cell(self.tau_lower_mean),
-                cell(self.pipeline_success),
-                str(self.censored),
-            ]
-        )
+        # repr is str for ints and round-trips floats; None is an empty cell
+        return ",".join("" if x is None else repr(x) for x in astuple(self))
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "samples": self.samples,
-            "frac_gh_dag": self.frac_gh_dag,
-            "mean_copies": self.mean_copies,
-            "tau_greedy_mean": self.tau_greedy_mean,
-            "tau_lower_mean": self.tau_lower_mean,
-            "pipeline_success": self.pipeline_success,
-            "censored": self.censored,
-        }
+        return asdict(self)
+
+
+CSV_COLUMNS = ",".join(f.name for f in fields(SweepRow))
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:
@@ -164,13 +147,19 @@ def _sweep_sample(args: tuple) -> dict:
     g = sample_digraph(n, p, cfg.seed, idx)
     record: dict = {}
     if cfg.mode == "skew_pipeline":
+        record["censored"] = False
+        scaled = max(1.0, cfg.perm_factor * math.log2(n))
+        if scaled >= n.bit_length():
+            # then n < 2**x_count <= r**x_count and consistent_sets would raise
+            # InfeasibleSizeError; perm_factor may ask for too many permutations to draw
+            record["pipeline_ok"] = False
+            return record
         rng = substream(cfg.seed, n, idx, 3)
-        x_count = max(1, math.floor(cfg.perm_factor * math.log2(n))) if n > 1 else 1
+        x_count = math.floor(scaled)
         perms = [
             Permutation._from_trusted(tuple(int(v) for v in rng.permutation(n)))
             for _ in range(x_count)
         ]
-        record["censored"] = False
         try:
             record["pipeline_ok"] = skew_witness_pipeline(g, cfg.pattern, perms, skew=skew) is not None
         except InfeasibleSizeError:

@@ -51,7 +51,7 @@ def format_edge_list(g: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_int(x: object) -> bool:
+def is_json_int(x: object) -> bool:
     """JSON integers only: bool is an int subclass, and floats would be truncated."""
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -64,12 +64,12 @@ def parse_graph_json(text: str) -> Digraph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InvalidInputError('graph JSON needs keys "n" and "edges"')
     n, edges = obj["n"], obj["edges"]
-    if not _is_int(n):
+    if not is_json_int(n):
         raise InvalidInputError(f'"n" must be an integer, got {n!r}')
     if not isinstance(edges, list):
         raise InvalidInputError(f'"edges" must be a list, got {edges!r}')
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
+        if not (isinstance(e, list) and len(e) == 2 and all(map(is_json_int, e))):
             raise InvalidInputError(f"each edge must be a pair [u, v] of integers, got {e!r}")
     pairs = [(u, v) for u, v in edges]
     if len(set(pairs)) != len(pairs):

@@ -26,6 +26,15 @@ def all_digraphs(n: int):
         yield Digraph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
 
 
+def lex_min_topological_order(g: Digraph):
+    """The lexicographically smallest vertex order with every edge forward, or None."""
+    for order in itertools.permutations(range(g.n)):
+        pos = {v: i for i, v in enumerate(order)}
+        if all(pos[u] < pos[v] for u, v in g.edges):
+            return order
+    return None
+
+
 def dag_catalog(max_n: int):
     """Every labeled dag with >= 1 edge and no isolated vertices, n = 2..max_n."""
     for n in range(2, max_n + 1):

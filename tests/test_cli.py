@@ -251,6 +251,48 @@ def test_sweep_jobs_below_one_exit_2(capsys, tmp_path, jobs):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"n_values": [20.9]},
+        {"samples": True},
+        {"seed": 1.7},
+        {"cap": 5.0},
+        {"perm_factor": "nan", "mode": "skew_pipeline"},
+        {"perm_factor": 0, "mode": "skew_pipeline"},
+        {"a_star": "1/0"},
+    ],
+)
+def test_sweep_config_bad_value_exit_2(capsys, tmp_path, overrides):
+    code, out, err = run_cli(capsys, "sweep", write_sweep(tmp_path, **overrides))
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
+def test_sweep_config_not_an_object_exit_2(capsys, tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, "sweep", str(path))
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
+def test_sweep_huge_perm_factor_finishes(capsys, tmp_path):
+    # n < 2**x_count: no consistent family exists, so no permutation is drawn
+    path = write_sweep(tmp_path, perm_factor=1e300, mode="skew_pipeline", samples=3)
+    code, out, _ = run_cli(capsys, "sweep", path)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[-2:] == ["0.0", "0"]
+
+
+def test_tau_negative_budget_exit_2(capsys, tmp_path):
+    host = graph_file(tmp_path, "k6.txt", complete(6))
+    pattern = graph_file(tmp_path, "t3.txt", make_transitive_tournament(3))
+    code, out, err = run_cli(capsys, "tau", host, pattern, "--exact", "--budget", "-3")
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
 def test_tau_negative_cap_exit_2(capsys, tmp_path):
     host = graph_file(tmp_path, "t4.txt", make_transitive_tournament(4))
     pattern = graph_file(tmp_path, "t3.txt", make_transitive_tournament(3))

@@ -121,6 +121,23 @@ def test_compatible_monotone_under_superset():
             assert not compatible(chosen)
 
 
+def test_compatible_matches_union_dagness_random():
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(150):
+        g = random_digraph(rng, 6, rng.choice([0.3, 0.5]))
+        for pattern in (T3, P3):
+            copies = enumerate_copies(g, pattern).copies
+            if not copies:
+                continue
+            chosen = rng.sample(copies, min(len(copies), rng.randint(2, 5)))
+            union = set().union(*(c.edges for c in chosen))
+            got = compatible(chosen)
+            assert got == is_dag(Digraph(6, union))
+            seen.add(got)
+    assert seen == {True, False}
+
+
 def test_group_matches_batch_recompute():
     rng = random.Random(21)
     for _ in range(60):
@@ -245,6 +262,13 @@ def test_seeded_covers_pinned():
         [6, 7, 0, 2, 5, 1, 3, 4],
         [5, 6, 7, 2, 0, 3, 1, 4],
         [1, 2, 3, 4, 5, 6, 7, 0],
+    ]
+    # clique bounds recorded before the clique kept one group per member
+    assert [tau_lower_clique(g, T3, seed) for seed in range(8)] == [2, 3, 2, 3, 3, 3, 2, 3]
+    larger = sample_digraph(40, 0.25, 3)  # 867 T3 copies
+    cs = enumerate_copies(larger, T3)
+    assert [tau_lower_clique(larger, T3, seed, copies=cs) for seed in range(8)] == [
+        2, 2, 2, 3, 3, 4, 2, 3
     ]
 
 

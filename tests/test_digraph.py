@@ -18,7 +18,7 @@ from dagcover.digraph import (
 )
 from dagcover.errors import InvalidInputError
 
-from oracles import all_digraphs, random_dag, random_digraph
+from oracles import all_digraphs, lex_min_topological_order, random_dag, random_digraph
 
 
 def test_digraph_validation():
@@ -88,14 +88,16 @@ def test_split_reverse_exhaustive_n4():
 
 
 def test_topological_order_iff_dag_exhaustive():
+    # every digraph on n <= 4 vertices, alone and with an isolated vertex labelled
+    # first or last; the order must be the lexicographically smallest topological one
     for n in range(1, 5):
         for g in all_digraphs(n):
-            order = topological_order(g)
-            if is_dag(g):
-                assert order is not None
-                assert split(g, order).right.edge_count == 0
-            else:
-                assert order is None
+            shifted = Digraph(n + 1, [(u + 1, v + 1) for u, v in g.edges])
+            for h in (g, shifted, Digraph(n + 1, g.edges)):
+                expected = lex_min_topological_order(h)
+                assert is_dag(h) == (expected is not None)
+                order = topological_order(h)
+                assert (None if order is None else order.order) == expected, h
 
 
 def test_topological_order_t3():

@@ -1,13 +1,17 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from dagcover.covering import enumerate_copies
+from dagcover import experiments
+from dagcover.covering import enumerate_copies, skew_witness_pipeline
 from dagcover.density import UndirectedGraph, densest_subset_enum
-from dagcover.digraph import Digraph, make_transitive_tournament
-from dagcover.errors import InvalidInputError
+from dagcover.digraph import Digraph, Permutation, make_transitive_tournament
+from dagcover.errors import InfeasibleSizeError, InvalidInputError
 from dagcover.experiments import (
     SweepConfig,
+    _sweep_sample,
     balanced_census,
     figure1_graph,
     prop_h_property_scan,
@@ -17,6 +21,7 @@ from dagcover.experiments import (
     threshold_sweep,
 )
 from dagcover.rng import substream
+from dagcover.skewness import skewness_exact
 
 from oracles import complete_digraph
 
@@ -35,6 +40,15 @@ def test_sample_digraph_binomial_concentration():
     for i in range(100):
         m = sample_digraph(50, 0.1, seed=2024, sample_index=i).edge_count
         assert abs(m - mu) <= 4 * sigma
+
+
+def test_sample_digraph_chunks_match_whole_grid():
+    n, p = 1500, 0.01
+    rows = experiments._DRAW_CHUNK // n
+    assert n > 2 * rows and n % rows  # two full row blocks and a partial one
+    hits = np.flatnonzero(substream(3, n, 4, 0).random(n * n) < p)
+    expected = {(u, v) for u, v in zip(*(a.tolist() for a in np.divmod(hits, n))) if u != v}
+    assert sample_digraph(n, p, seed=3, sample_index=4).edges == expected
 
 
 def test_sample_undirected_binomial_concentration():
@@ -71,6 +85,30 @@ def test_sweep_config_validation():
         SweepConfig(t3, Fraction(2), (20, 10), 1, 0, "dagness")
     with pytest.raises(InvalidInputError):
         SweepConfig(t3, Fraction(2), (10,), 1, 0, "bogus")
+    for factor in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidInputError):
+            SweepConfig(t3, Fraction(2), (10,), 1, 0, "skew_pipeline", perm_factor=factor)
+    with pytest.raises(InvalidInputError):
+        SweepConfig(t3, Fraction(1, 10**400), (10,), 1, 0, "dagness")  # 0.0 as a float
+
+
+def test_pipeline_sample_skips_only_infeasible_draws():
+    # without the size screen: draw the permutations and run the pipeline
+    t3 = make_transitive_tournament(3)
+    skew = skewness_exact(t3)
+    for n in (1, 2, 7, 8, 9, 16, 20, 33):
+        for factor in (0.3, 1.0, 1.2, 2.0):
+            cfg = SweepConfig(t3, Fraction(2), (n,), 1, 5, "skew_pipeline", perm_factor=factor)
+            p = cfg.edge_probability(n)
+            x_count = max(1, math.floor(factor * math.log2(n))) if n > 1 else 1
+            rng = substream(5, n, 0, 3)
+            perms = [Permutation(rng.permutation(n).tolist()) for _ in range(x_count)]
+            try:
+                host = sample_digraph(n, p, 5, 0)
+                expected = skew_witness_pipeline(host, t3, perms, skew=skew) is not None
+            except InfeasibleSizeError:
+                expected = False
+            assert _sweep_sample((cfg, n, p, 0, skew))["pipeline_ok"] == expected, (n, factor)
 
 
 def test_sweep_deterministic_and_csv_shape():
