@@ -17,14 +17,12 @@ from .covering import (
     compatible,
     consistent_sets,
     enumerate_copies,
-    extract_cycle_configuration,
     find_consistent_copy,
     skew_witness_pipeline,
     tau_exact,
     tau_greedy,
     tau_le_one,
     tau_lower_clique,
-    union_copy_graph,
     union_graph,
     verify_consistent,
 )
@@ -38,7 +36,6 @@ from .density import (
 )
 from .digraph import (
     Digraph,
-    EdgeSplit,
     Permutation,
     forward_count,
     is_dag,
@@ -46,9 +43,7 @@ from .digraph import (
     make_directed_path,
     make_rooted_star,
     make_transitive_tournament,
-    reverse,
     shortest_directed_cycle,
-    split,
     topological_order,
 )
 from .errors import (
@@ -60,12 +55,10 @@ from .errors import (
 )
 from .experiments import (
     CensusResult,
-    PropertyScan,
     SweepConfig,
     SweepRow,
     balanced_census,
     figure1_graph,
-    prop_h_property_scan,
     rows_to_csv,
     rows_to_json,
     sample_digraph,
@@ -76,7 +69,6 @@ from .skewness import (
     Partition,
     SkewReport,
     coloring_skew,
-    skew_bound_check,
     skewness_exact,
     skewness_upper_random,
 )

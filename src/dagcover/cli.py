@@ -38,7 +38,6 @@ from .errors import (
     InfeasibleSizeError,
     InvalidInputError,
     SizeLimitError,
-    UndefinedParameterError,
 )
 from .experiments import (
     SweepConfig,
@@ -404,13 +403,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (SizeLimitError, InfeasibleSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (InvalidInputError, UndefinedParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except DagCoverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (DagCoverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -236,16 +236,8 @@ def enumerate_copies(g: Digraph, h: Digraph, cap: int = DEFAULT_COPY_CAP) -> Cop
     return CopySet(host=g, pattern=h, copies=tuple(copies), truncated=truncated)
 
 
-def union_copy_graph(g: Digraph, h: Digraph, cap: int = DEFAULT_COPY_CAP) -> tuple[Digraph, bool]:
-    """The spanning subgraph of g holding every edge lying in some h-copy.
-
-    Returns (graph, truncated); `truncated` propagates the enumeration cap.
-    """
-    cs = enumerate_copies(g, h, cap)
-    return union_graph(cs), cs.truncated
-
-
 def union_graph(copyset: CopySet) -> Digraph:
+    """The spanning subgraph of the host holding every edge lying in some copy."""
     edges: set[Edge] = set()
     for c in copyset.copies:
         edges |= c.edges
@@ -267,13 +259,14 @@ def tau_le_one(g: Digraph, h: Digraph, cap: int = DEFAULT_COPY_CAP) -> TauOneRes
     The certificate is a covering permutation (topological order of the
     union, extended over all of g) or a shortest directed cycle of it.
     """
-    gh, truncated = union_copy_graph(g, h, cap)
+    cs = enumerate_copies(g, h, cap)
+    gh = union_graph(cs)
     order = topological_order(gh)
     if order is not None:
-        return TauOneResult(acyclic=True, order=order, cycle=None, truncated=truncated, union=gh)
+        return TauOneResult(acyclic=True, order=order, cycle=None, truncated=cs.truncated, union=gh)
     cyc = shortest_directed_cycle(gh)
     assert cyc is not None
-    return TauOneResult(acyclic=False, order=None, cycle=tuple(cyc), truncated=truncated, union=gh)
+    return TauOneResult(acyclic=False, order=None, cycle=tuple(cyc), truncated=cs.truncated, union=gh)
 
 
 # --- a group of copies with an acyclic union ---------------------------------
@@ -818,33 +811,3 @@ def skew_witness_pipeline(
     if any(cnt > report.value for cnt in profile):
         raise AssertionError("pipeline postcondition violated: coverage exceeds the skewness")
     return copy, profile
-
-
-# --- cycle configurations ----------------------------------------------------
-
-def extract_cycle_configuration(
-    g: Digraph, h: Digraph, cap: int = DEFAULT_COPY_CAP
-) -> Optional[tuple[tuple[int, ...], list[Copy]]]:
-    """A shortest cycle of the copy-union graph and a minimal copy set covering it.
-
-    Greedy removal makes the family minimal: dropping any member leaves
-    some cycle edge uncovered, which also caps the family size by the
-    cycle length.  None when the union graph is acyclic.
-    """
-    cs = enumerate_copies(g, h, cap)
-    gh = union_graph(cs)
-    cyc = shortest_directed_cycle(gh)
-    if cyc is None:
-        return None
-    k = len(cyc)
-    cycle_edges = frozenset((cyc[i], cyc[(i + 1) % k]) for i in range(k))
-    chosen = [c for c in cs.copies if c.edges & cycle_edges]
-    for c in list(chosen):
-        without = [d for d in chosen if d is not c]
-        covered: set[Edge] = set()
-        for d in without:
-            covered |= d.edges & cycle_edges
-        if covered == cycle_edges:
-            chosen = without
-    assert len(chosen) <= k
-    return tuple(cyc), chosen

@@ -5,9 +5,10 @@ as host graph (large, possibly with 2-cycles) and pattern graph (small
 dag).  Edges are ordered pairs; (u,v) and (v,u) may both be present but
 self-loops and duplicates are rejected.
 
-Every permutation splits a digraph into a "forward" and a "backward"
-spanning subgraph, both acyclic; this split is the basic move behind
-every covering computation in the package.
+A permutation covers an edge (u, v) when u comes before v; the edges
+it covers form an acyclic spanning subgraph.  `forward_count` counts
+them, and counting forward edges is the basic move behind every
+covering computation in the package.
 
 One lowest-first Kahn peel over an edge set's endpoints answers every
 whole-graph acyclicity question: `is_dag` asks whether it finishes, and
@@ -84,9 +85,6 @@ class Digraph:
     def in_sets(self) -> dict[int, frozenset[int]]:
         return {v: frozenset(ws) for v, ws in self.in_adj.items()}
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
-
     def isolated_vertices(self) -> tuple[int, ...]:
         touched = set()
         for u, v in self.edges:
@@ -133,37 +131,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.order)})"
-
-
-@dataclass(frozen=True)
-class EdgeSplit:
-    """Forward/backward halves of a digraph under one permutation; both are dags."""
-
-    left: Digraph
-    right: Digraph
-
-
-def split(g: Digraph, p: Permutation) -> EdgeSplit:
-    """Split g into forward edges (earlier -> later under p) and the rest."""
-    if len(p) != g.n:
-        raise InvalidInputError(f"permutation length {len(p)} != vertex count {g.n}")
-    pos = p.position
-    left = set()
-    right = set()
-    for u, v in g.edges:
-        if pos[u] < pos[v]:
-            left.add((u, v))
-        else:
-            right.add((u, v))
-    return EdgeSplit(
-        left=Digraph._from_trusted(g.n, frozenset(left)),
-        right=Digraph._from_trusted(g.n, frozenset(right)),
-    )
-
-
-def reverse(p: Permutation) -> Permutation:
-    """Reversed order; split(g, reverse(p)).left == split(g, p).right for all g."""
-    return Permutation._from_trusted(tuple(reversed(p.order)))
 
 
 def forward_count(edges: Iterable[Edge], p: Permutation) -> int:

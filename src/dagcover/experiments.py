@@ -302,52 +302,3 @@ def figure1_graph() -> Digraph:
     """The 5-vertex counterexample dag: a 2-edge path feeding a transitive
     triangle whose source is the path's endpoint."""
     return Digraph(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)])
-
-
-@dataclass(frozen=True)
-class PropertyScan:
-    two_cycles: int
-    dense_four_vertex: int
-    t3_sources: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "two_cycles": self.two_cycles,
-            "four_vertex_five_edge": self.dense_four_vertex,
-            "t3_sources": list(self.t3_sources),
-        }
-
-
-def prop_h_property_scan(g: Digraph) -> PropertyScan:
-    """Counts behind the counterexample argument: 2-cycles, 4-vertex/5-edge
-    subgraphs (edge subsets touching all four vertices), and vertices that
-    are the source of some transitive triangle."""
-    from itertools import combinations
-
-    two = sum(1 for u, v in g.edges if u < v and (v, u) in g.edges)
-
-    dense = 0
-    for quad in combinations(range(g.n), 4):
-        inner = sorted(g.edges_within(quad))
-        if len(inner) < 5:
-            continue
-        for chosen in combinations(inner, 5):
-            touched = {w for e in chosen for w in e}
-            if len(touched) == 4:
-                dense += 1
-
-    sources = []
-    for u in range(g.n):
-        outs = g.out_adj[u]
-        found = False
-        for i in range(len(outs)):
-            for j in range(i + 1, len(outs)):
-                v, w = outs[i], outs[j]
-                if (v, w) in g.edges or (w, v) in g.edges:
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            sources.append(u)
-    return PropertyScan(two_cycles=two, dense_four_vertex=dense, t3_sources=tuple(sources))

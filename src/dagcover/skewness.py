@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Iterable, Sequence
 
-from .digraph import Digraph, Permutation, forward_count, is_dag, is_rooted_star, topological_order
+from .digraph import Digraph, Permutation, forward_count, is_dag, topological_order
 from .errors import InvalidInputError, SizeLimitError
 from .rng import substream
 
@@ -275,15 +275,3 @@ def skewness_upper_random(h: Digraph, trials: int, seed: int) -> tuple[int, Part
                 if best_value <= floor_bound:
                     return best_value, best_coloring
     return best_value, best_coloring
-
-
-def skew_bound_check(h: Digraph) -> bool:
-    """Check ceil(m/2) <= s(H) <= m and s(H) == m iff h is a rooted star."""
-    _check_pattern(h)
-    m = h.edge_count
-    if m == 0:
-        raise InvalidInputError("bound check needs at least one edge")
-    s = skewness_exact(h).value
-    if not ceil(m / 2) <= s <= m:
-        return False
-    return (s == m) == is_rooted_star(h)

@@ -202,6 +202,14 @@ def assert_one_line_error(code, err):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_params_edgeless_exit_2(capsys, tmp_path):
+    path = tmp_path / "edgeless.txt"
+    path.write_text("3 0\n")
+    code, out, err = run_cli(capsys, "params", str(path))
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
 @pytest.mark.parametrize("mode", [["--greedy", "--seed", "1"], ["--bounds", "--seed", "1"], ["--exact"]])
 def test_tau_truncated_exits_4(capsys, tmp_path, mode):
     host = graph_file(tmp_path, "k6.txt", complete(6))  # 120 T3 copies, tau >= 6

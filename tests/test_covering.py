@@ -9,14 +9,13 @@ from dagcover.covering import (
     compatible,
     consistent_sets,
     enumerate_copies,
-    extract_cycle_configuration,
     find_consistent_copy,
     skew_witness_pipeline,
     tau_exact,
     tau_greedy,
     tau_le_one,
     tau_lower_clique,
-    union_copy_graph,
+    union_graph,
     verify_consistent,
 )
 from dagcover.digraph import (
@@ -27,7 +26,6 @@ from dagcover.digraph import (
     make_directed_path,
     make_rooted_star,
     make_transitive_tournament,
-    reverse,
 )
 from dagcover.errors import InfeasibleSizeError, InvalidInputError, SizeLimitError
 from dagcover.experiments import sample_digraph
@@ -76,10 +74,9 @@ def test_enumerate_rejects_bad_patterns():
 
 def test_union_copy_graph():
     t4 = make_transitive_tournament(4)
-    gh, truncated = union_copy_graph(t4, T3)
-    assert gh.edges == t4.edges and not truncated
-    gh2, _ = union_copy_graph(Digraph(3, [(0, 1)]), P3)
-    assert gh2.edge_count == 0
+    cs = enumerate_copies(t4, T3)
+    assert union_graph(cs).edges == t4.edges and not cs.truncated
+    assert union_graph(enumerate_copies(Digraph(3, [(0, 1)]), P3)).edge_count == 0
 
 
 def test_tau_le_one():
@@ -93,8 +90,7 @@ def test_tau_le_one():
     assert not res2.acyclic
     assert len(res2.cycle) == 2
     u, v = res2.cycle
-    gh, _ = union_copy_graph(TWO_TRIANGLES, T3)
-    assert (u, v) in gh.edges and (v, u) in gh.edges
+    assert (u, v) in res2.union.edges and (v, u) in res2.union.edges
 
 
 def test_compatible():
@@ -309,7 +305,7 @@ def test_consistent_sets_identity():
 
 
 def test_consistent_sets_id_and_reverse():
-    perms = [Permutation(range(8)), reverse(Permutation(range(8)))]
+    perms = [Permutation(range(8)), Permutation(range(7, -1, -1))]
     fam = consistent_sets(perms, 1)
     assert all(len(s) == 2 for s in fam.sets)
     assert verify_consistent(perms, fam.sets)
@@ -415,25 +411,3 @@ def test_pipeline_profile_bounded_random():
         assert all(c <= 2 for c in profile)
         assert profile == tuple(forward_count(copy.edges, p) for p in perms)
     assert hits > 0
-
-
-def test_extract_cycle_configuration():
-    assert extract_cycle_configuration(make_transitive_tournament(4), T3) is None
-
-    result = extract_cycle_configuration(TWO_TRIANGLES, T3)
-    assert result is not None
-    cycle, copies = result
-    assert len(cycle) == 2 and len(copies) == 2
-    k = len(cycle)
-    cycle_edges = {(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-    union = set()
-    for c in copies:
-        union |= c.edges
-    assert cycle_edges <= union
-    # minimality: dropping any member uncovers a cycle edge
-    for drop in copies:
-        rest = set()
-        for c in copies:
-            if c is not drop:
-                rest |= c.edges
-        assert not cycle_edges <= rest

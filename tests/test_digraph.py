@@ -11,14 +11,12 @@ from dagcover.digraph import (
     make_directed_path,
     make_rooted_star,
     make_transitive_tournament,
-    reverse,
     shortest_directed_cycle,
-    split,
     topological_order,
 )
 from dagcover.errors import InvalidInputError
 
-from oracles import all_digraphs, lex_min_topological_order, random_dag, random_digraph
+from oracles import all_digraphs, lex_min_topological_order, random_dag
 
 
 def test_digraph_validation():
@@ -37,54 +35,6 @@ def test_permutation_validation():
         Permutation([1, 2, 3])
     p = Permutation([2, 0, 1])
     assert p.position[2] == 0 and p.position[1] == 2
-
-
-def test_split_examples():
-    single = Digraph(2, [(0, 1)])
-    sp = split(single, Permutation([0, 1]))
-    assert sp.left.edges == {(0, 1)} and sp.right.edge_count == 0
-
-    two_cycle = Digraph(2, [(0, 1), (1, 0)])
-    for order in ([0, 1], [1, 0]):
-        sp = split(two_cycle, Permutation(order))
-        assert sp.left.edge_count == 1 and sp.right.edge_count == 1
-
-    t3 = make_transitive_tournament(3)
-    sp = split(t3, Permutation([2, 1, 0]))
-    assert sp.left.edge_count == 0 and sp.right.edge_count == 3
-
-    with pytest.raises(InvalidInputError):
-        split(t3, Permutation([0, 1]))
-
-
-def test_split_invariants_random():
-    rng = random.Random(2024)
-    for _ in range(100):
-        n = rng.randint(1, 10)
-        g = random_digraph(rng, n, rng.choice([0.2, 0.5, 0.8]))
-        order = list(range(n))
-        rng.shuffle(order)
-        sp = split(g, Permutation(order))
-        assert is_dag(sp.left) and is_dag(sp.right)
-        assert not (sp.left.edges & sp.right.edges)
-        assert sp.left.edges | sp.right.edges == g.edges
-
-
-def test_reverse_is_involution():
-    rng = random.Random(7)
-    for _ in range(20):
-        order = list(range(8))
-        rng.shuffle(order)
-        p = Permutation(order)
-        assert reverse(reverse(p)).order == p.order
-    assert reverse(Permutation([0, 1, 2])).order == (2, 1, 0)
-
-
-def test_split_reverse_exhaustive_n4():
-    perms = [Permutation(list(p)) for p in __import__("itertools").permutations(range(4))]
-    for g in all_digraphs(4):
-        for p in perms:
-            assert split(g, p).right.edges == split(g, reverse(p)).left.edges
 
 
 def test_topological_order_iff_dag_exhaustive():
@@ -111,7 +61,7 @@ def test_topological_order_random_dags():
         g = random_dag(rng, 7, 0.5)
         order = topological_order(g)
         assert order is not None
-        assert split(g, order).right.edge_count == 0
+        assert forward_count(g.edges, order) == g.edge_count
 
 
 def test_is_dag_examples():
@@ -170,7 +120,7 @@ def test_forward_count():
         order = list(range(n))
         rng.shuffle(order)
         p = Permutation(order)
-        assert forward_count(g.edges, p) + forward_count(g.edges, reverse(p)) == g.edge_count
+        assert forward_count(g.edges, p) + forward_count(g.edges, Permutation(order[::-1])) == g.edge_count
 
 
 def test_constructions():

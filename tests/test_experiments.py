@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 from dagcover import experiments
-from dagcover.covering import enumerate_copies, skew_witness_pipeline
+from dagcover.covering import skew_witness_pipeline
 from dagcover.density import UndirectedGraph, densest_subset_enum
-from dagcover.digraph import Digraph, Permutation, make_transitive_tournament
+from dagcover.digraph import Permutation, make_transitive_tournament
 from dagcover.errors import InfeasibleSizeError, InvalidInputError
 from dagcover.experiments import (
     SweepConfig,
     _sweep_sample,
     balanced_census,
     figure1_graph,
-    prop_h_property_scan,
     rows_to_csv,
     sample_digraph,
     sample_undirected,
@@ -22,8 +21,6 @@ from dagcover.experiments import (
 )
 from dagcover.rng import substream
 from dagcover.skewness import skewness_exact
-
-from oracles import complete_digraph
 
 
 def test_sample_digraph_extremes():
@@ -239,20 +236,3 @@ def test_figure1_graph():
     g = figure1_graph()
     assert g.n == 5
     assert g.edges == {(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)}
-
-
-def test_prop_h_scan():
-    scan3 = prop_h_property_scan(complete_digraph(3))
-    assert scan3.two_cycles == 3
-
-    t4 = make_transitive_tournament(4)
-    scan4 = prop_h_property_scan(t4)
-    assert scan4.two_cycles == 0
-    assert scan4.t3_sources == (0, 1)
-    # T4 has 6 edges on its only 4-set; removing any one leaves all degrees >= 1
-    assert scan4.dense_four_vertex == 6
-
-    empty = prop_h_property_scan(Digraph(6, []))
-    assert empty.two_cycles == 0
-    assert empty.dense_four_vertex == 0
-    assert empty.t3_sources == ()

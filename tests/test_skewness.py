@@ -15,7 +15,6 @@ from dagcover.errors import InvalidInputError, SizeLimitError
 from dagcover.skewness import (
     Partition,
     coloring_skew,
-    skew_bound_check,
     skewness_exact,
     skewness_upper_random,
 )
@@ -109,7 +108,6 @@ def test_skewness_bounds_catalog():
         s = skewness_exact(g).value
         assert ceil(m / 2) <= s <= m
         assert (s == m) == is_rooted_star(g)
-        assert skew_bound_check(g)
 
 
 def test_non_star_is_below_m():
