@@ -140,6 +140,8 @@ def _cmd_skewness(ns: argparse.Namespace) -> int:
         obj = {"skewness_upper": value, "coloring": coloring.to_lists()}
         _emit(obj, ns.format, [f"s <= {value}", f"coloring: {coloring.to_lists()}"])
         return EXIT_OK
+    if ns.seed is not None or ns.trials is not None:
+        raise InvalidInputError("--trials and --seed apply only with --random")
     report = skewness_exact(g)
     _emit(
         report.to_json_dict(),

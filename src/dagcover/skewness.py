@@ -20,6 +20,24 @@ digraph on blocks, solved exactly by dynamic programming over block
 subsets.  The brute-force check over explicitly generated
 coloring-respecting permutations (see the test suite) confirms the
 decomposition on every dag with up to 6 vertices.
+
+`skewness_exact` colors vertices 0, 1, ... in restricted-growth order
+and bounds every partial coloring from below before going deeper.
+Both bounds hold for every partition below the node, because coloring
+more vertices keeps every inside edge inside and every cross edge
+between the same two blocks:
+
+* ceil((m + inside)/2): an ordering or its reverse makes at least half
+  of the cross edges forward, and inside edges are forward anyway;
+* inside + the forward edges among colored vertices under one concrete
+  block order, by net out-degree (out minus in, summed over the block)
+  from highest to lowest: no order beats the maximum, and blocks that
+  appear later can go last.
+
+A node whose bound reaches the incumbent holds no strictly better
+partition, so cutting it changes neither the sequence of incumbents nor
+the witness.  Only the partitions that pass both bounds build a
+quotient and run the DP.
 """
 
 from __future__ import annotations
@@ -32,7 +50,7 @@ from .digraph import Digraph, Permutation, forward_count, is_dag, topological_or
 from .errors import InvalidInputError, SizeLimitError
 from .rng import substream
 
-MAX_EXACT_VERTICES = 10
+MAX_EXACT_VERTICES = 11
 MAX_BLOCKS = 24
 
 
@@ -108,40 +126,42 @@ def _quotient(h: Digraph, assign: Sequence[int], k: int) -> tuple[int, list[list
     return inside, w
 
 
+def _subset_sums(weights: Sequence[int]) -> list[int]:
+    """sums[S] = sum of weights[a] over the bits a of S."""
+    sums = [0]
+    for x in weights:  # the subsets holding bit a extend those below 2**a
+        sums += [s + x for s in sums]
+    return sums
+
+
 def _best_block_order(w: list[list[int]], k: int) -> tuple[int, list[int]]:
     """Max forward cross weight and the lexicographically smallest optimal order.
 
     f[P] = best weight obtainable by arranging the blocks outside P after
-    the prefix P; appending block b to prefix P gains sum(w[a][b], a in P).
+    the prefix P; appending block b to prefix P gains the weight into b
+    from P, read in O(1) as lo[b][low half of P] + hi[b][high half of P].
+    Two half-width tables keep the memory at O(k 2^(k/2)) next to f.
     """
     full = (1 << k) - 1
+    half = k // 2
+    mask = (1 << half) - 1
+    lo = [_subset_sums([w[a][b] for a in range(half)]) for b in range(k)]
+    hi = [_subset_sums([w[a][b] for a in range(half, k)]) for b in range(k)]
     f = [0] * (full + 1)
     for pset in range(full - 1, -1, -1):
-        best = -1
-        for b in range(k):
-            if pset >> b & 1:
-                continue
-            gain = 0
-            wb = w
-            for a in range(k):
-                if pset >> a & 1:
-                    gain += wb[a][b]
-            cand = gain + f[pset | (1 << b)]
-            if cand > best:
-                best = cand
-        f[pset] = best if best >= 0 else 0
+        pl, ph = pset & mask, pset >> half
+        f[pset] = max(lo[b][pl] + hi[b][ph] + f[pset | 1 << b] for b in range(k) if not pset >> b & 1)
     # walk forward, always taking the smallest block that stays optimal
     seq: list[int] = []
     pset = 0
     while pset != full:
-        for b in range(k):
-            if pset >> b & 1:
-                continue
-            gain = sum(w[a][b] for a in range(k) if pset >> a & 1)
-            if gain + f[pset | (1 << b)] == f[pset]:
-                seq.append(b)
-                pset |= 1 << b
-                break
+        pl, ph = pset & mask, pset >> half
+        b = next(
+            b for b in range(k)
+            if not pset >> b & 1 and lo[b][pl] + hi[b][ph] + f[pset | 1 << b] == f[pset]
+        )
+        seq.append(b)
+        pset |= 1 << b
     return f[0], seq
 
 
@@ -183,10 +203,13 @@ def _blocks_from_assignment(assign: Sequence[int]) -> tuple[frozenset[int], ...]
 def skewness_exact(h: Digraph) -> SkewReport:
     """Minimum of coloring_skew over all set partitions of V(h).
 
-    Restricted-growth enumeration with two prunes: a partition whose
-    inside-edge count alone reaches the incumbent cannot improve, and
-    inside + ceil(cross/2) is a lower bound on its value (an ordering or
-    its reverse makes at least half of the cross edges forward).
+    Restricted-growth enumeration; the witness is the first partition in
+    that order that reaches the minimum, with the DP's lexicographically
+    smallest optimal block order.  Two lower bounds cut a subtree whose
+    partitions cannot beat the incumbent (see the module docstring):
+    ceil((m + inside)/2), and inside plus the forward edges among the
+    colored vertices with blocks sorted by net out-degree.  The search
+    stops at ceil(m/2), which no partition can beat.
     """
     _check_pattern(h)
     if h.n > MAX_EXACT_VERTICES:
@@ -196,35 +219,44 @@ def skewness_exact(h: Digraph) -> SkewReport:
         )
     if h.n == 0:
         raise InvalidInputError("skewness needs at least one vertex")
-    m = h.edge_count
+    n, m = h.n, h.edge_count
     floor_bound = ceil(m / 2)
 
     best_value = m + 1
-    best_blocks: tuple[frozenset[int], ...] | None = None
+    best_assign: list[int] = []
     best_seq: list[int] = []
+    # A block's key is (n + 1) * its net out-degree (out minus in, summed
+    # over its vertices) minus its index: distinct keys, with ties in net
+    # out-degree going to the lower block.
+    net = [0] * n
+    for u, v in h.edges:
+        net[u] += n + 1
+        net[v] -= n + 1
+    # edges_below[i]: the edges among vertices < i, all colored at depth i
+    edges_below = [[e for e in h.sorted_edges if max(e) < i] for i in range(n + 1)]
     # prefix neighbours: vertices j < i adjacent to i in either direction
     prefix_nbrs = [
         [j for j in range(i) if (i, j) in h.edges or (j, i) in h.edges]
-        for i in range(h.n)
+        for i in range(n)
     ]
 
-    assign = [0] * h.n
+    assign = [0] * n
 
     def rec(i: int, kmax: int, inside: int) -> bool:
-        nonlocal best_value, best_blocks, best_seq
-        if inside >= best_value:
+        nonlocal best_value, best_assign, best_seq
+        if (m + inside + 1) // 2 >= best_value:
             return False
-        if i == h.n:
-            k = kmax + 1
-            blocks = _blocks_from_assignment(assign)
-            ins, w = _quotient(h, assign, k)
-            cross_total = m - ins
-            if ins + (cross_total + 1) // 2 >= best_value:
-                return False
-            cross, seq = _best_block_order(w, k)
-            if ins + cross < best_value:
-                best_value = ins + cross
-                best_blocks = blocks
+        k = kmax + 1
+        key = list(range(0, -k, -1))
+        for v in range(i):
+            key[assign[v]] += net[v]
+        if inside + sum(1 for u, v in edges_below[i] if key[assign[u]] > key[assign[v]]) >= best_value:
+            return False
+        if i == n:
+            cross, seq = _best_block_order(_quotient(h, assign, k)[1], k)
+            if inside + cross < best_value:
+                best_value = inside + cross
+                best_assign = assign[:]
                 best_seq = seq
                 return best_value <= floor_bound
             return False
@@ -236,7 +268,7 @@ def skewness_exact(h: Digraph) -> SkewReport:
         return False
 
     rec(1, 0, 0)
-    assert best_blocks is not None
+    best_blocks = _blocks_from_assignment(best_assign)
     coloring = Partition._from_trusted(best_blocks)
     witness = _order_for_blocks(h, best_blocks, best_seq)
     return SkewReport(value=best_value, witness_coloring=coloring, witness_order=witness)

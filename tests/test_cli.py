@@ -202,6 +202,14 @@ def assert_one_line_error(code, err):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [["--trials", "3", "--seed", "1"], ["--seed", "1"], ["--trials", "3"]])
+def test_skewness_exact_rejects_random_flags(capsys, tmp_path, flags):
+    path = graph_file(tmp_path, "t4.txt", make_transitive_tournament(4))
+    code, out, err = run_cli(capsys, "skewness", path, *flags)
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
 def test_params_edgeless_exit_2(capsys, tmp_path):
     path = tmp_path / "edgeless.txt"
     path.write_text("3 0\n")

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from math import ceil
 
@@ -14,12 +16,70 @@ from dagcover.digraph import (
 from dagcover.errors import InvalidInputError, SizeLimitError
 from dagcover.skewness import (
     Partition,
+    _best_block_order,
     coloring_skew,
     skewness_exact,
     skewness_upper_random,
 )
 
 from oracles import all_partitions, brute_coloring_skew, dag_catalog, random_dag
+
+# skewness_exact on fixed inputs, recorded before the search gained its
+# lower bounds: a bound may skip partitions but never change a witness.
+# Entries are (value, coloring, witness order).
+# The catalog entry is the sha256 of their reprs over dag_catalog(4), one a line.
+CATALOG4_SHA256 = "2ea98c20b092d33134f30cd18be33b2f52ef35f76966d31f703f769e5b499bf0"
+PINNED_RANDOM = [  # random.Random(i) draws n, p and the dag, for i in 0..39
+    (9, [[0, 1, 2, 5], [3], [4, 6, 7]], [3, 4, 6, 7, 1, 2, 5, 0]),
+    (1, [[0, 2], [1]], [0, 2, 1]),
+    (4, [[0, 2, 4, 6, 7], [1, 3], [5]], [0, 2, 4, 6, 7, 1, 3, 5]),
+    (2, [[0], [1, 2]], [0, 1, 2]),
+    (2, [[0, 2], [1]], [2, 0, 1]),
+    (5, [[0, 1, 3], [2, 4, 5]], [1, 3, 0, 2, 4, 5]),
+    (12, [[0, 1, 4, 7], [2, 6], [3, 5]], [6, 2, 5, 3, 4, 0, 1, 7]),
+    (2, [[0, 1, 3], [2]], [1, 0, 3, 2]),
+    (2, [[0], [1, 2]], [0, 2, 1]),
+    (5, [[0, 1, 2], [3, 4]], [3, 4, 0, 1, 2]),
+    (3, [[0, 1, 2, 5], [3, 4]], [0, 1, 2, 5, 3, 4]),
+    (5, [[0, 4], [1, 2, 3]], [0, 4, 1, 2, 3]),
+    (4, [[0, 1, 2], [3, 4]], [1, 0, 2, 3, 4]),
+    (2, [[0, 1, 2, 3]], [0, 2, 3, 1]),
+    (1, [[0, 1]], [1, 0]),
+    (2, [[0, 1, 2]], [1, 0, 2]),
+    (2, [[0, 3], [1, 2]], [0, 3, 1, 2]),
+    (5, [[0], [1, 2, 4], [3, 5]], [0, 3, 5, 1, 2, 4]),
+    (1, [[0, 1, 2]], [0, 1, 2]),
+    (6, [[0, 2, 6], [1, 3, 4, 5]], [2, 0, 6, 3, 1, 4, 5]),
+    (11, [[0], [1, 3], [2, 5], [4, 6]], [0, 3, 1, 4, 6, 2, 5]),
+    (2, [[0, 1, 2]], [0, 1, 2]),
+    (2, [[0, 1, 2]], [1, 2, 0]),
+    (9, [[0, 6], [1, 2, 5, 7], [3, 4]], [6, 0, 2, 5, 7, 1, 3, 4]),
+    (5, [[0, 5], [1, 2], [3, 4, 6]], [0, 5, 1, 2, 3, 4, 6]),
+    (2, [[0, 1, 2], [3, 4]], [0, 1, 2, 3, 4]),
+    (3, [[0, 3, 4, 5, 6], [1, 2]], [0, 3, 5, 6, 4, 1, 2]),
+    (7, [[0, 2], [1, 3, 4, 5], [6]], [0, 2, 1, 3, 4, 5, 6]),
+    (1, [[0, 1]], [1, 0]),
+    (3, [[0, 1, 4, 5], [2, 3]], [2, 3, 0, 1, 4, 5]),
+    (3, [[0, 1, 2], [3, 4, 5]], [1, 0, 2, 3, 4, 5]),
+    (0, [[0, 1]], [0, 1]),
+    (0, [[0, 1]], [0, 1]),
+    (1, [[0, 1, 2, 4], [3, 5]], [0, 1, 2, 4, 3, 5]),
+    (6, [[0, 1, 2], [3, 4, 5]], [1, 0, 2, 3, 4, 5]),
+    (3, [[0, 1, 4, 5], [2, 3]], [0, 1, 4, 5, 2, 3]),
+    (2, [[0, 1, 2, 3]], [1, 2, 3, 0]),
+    (7, [[0, 2, 6], [1, 5], [3, 4]], [1, 5, 3, 4, 0, 2, 6]),
+    (6, [[0, 1], [2, 3, 6], [4, 5]], [1, 0, 4, 5, 2, 3, 6]),
+    (1, [[0], [1, 2]], [0, 1, 2]),
+]
+PINNED_T9 = (20, [[0, 8], [1, 7], [2, 6], [3, 5], [4]], [0, 8, 1, 7, 2, 6, 3, 5, 4])
+PINNED_T10 = (25, [[0, 9], [1, 8], [2, 7], [3, 6], [4, 5]], [0, 9, 1, 8, 2, 7, 3, 6, 4, 5])
+PINNED_T9_RELABELLED = [  # vertex v of T9 becomes perm[v], perm shuffled by random.Random(i)
+    (20, [[0, 1], [2, 3], [4], [5, 8], [6, 7]], [1, 0, 3, 2, 4, 5, 8, 7, 6]),
+    (20, [[0, 4], [1, 6], [2, 5], [3], [7, 8]], [4, 0, 6, 1, 5, 2, 3, 7, 8]),
+    (20, [[0, 3], [1, 6], [2, 5], [4, 8], [7]], [3, 0, 6, 1, 5, 2, 4, 8, 7]),
+    (20, [[0, 4], [1, 3], [2, 5], [6, 7], [8]], [0, 4, 1, 3, 5, 2, 6, 7, 8]),
+    (20, [[0, 6], [1, 3], [2, 4], [5, 7], [8]], [6, 0, 1, 3, 2, 4, 7, 5, 8]),
+]
 
 
 def test_partition_validation():
@@ -136,11 +196,63 @@ def test_lower_bound_every_coloring():
 
 
 def test_size_limit():
-    big = Digraph(11, [(i, i + 1) for i in range(10)])
+    big = make_directed_path(11)  # 12 vertices, one past the limit
     with pytest.raises(SizeLimitError):
         skewness_exact(big)
     value, _ = skewness_upper_random(big, 20, seed=1)
-    assert value >= 5  # ceil(m/2) for the 10-edge path
+    assert value >= 6  # ceil(m/2) for the 11-edge path
+
+
+def _report(g):
+    r = skewness_exact(g)
+    return (r.value, r.witness_coloring.to_lists(), list(r.witness_order.order))
+
+
+def test_skewness_exact_pinned():
+    lines = [repr(_report(g)) for g in dag_catalog(4)]
+    assert len(lines) == 478
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CATALOG4_SHA256
+    for seed, want in enumerate(PINNED_RANDOM):
+        rng = random.Random(seed)
+        g = random_dag(rng, rng.randint(2, 8), rng.choice([0.3, 0.5, 0.7]))
+        assert _report(g) == want, seed
+    t9 = make_transitive_tournament(9)
+    assert _report(t9) == PINNED_T9
+    assert _report(make_transitive_tournament(10)) == PINNED_T10
+    for seed, want in enumerate(PINNED_T9_RELABELLED):
+        perm = list(range(9))
+        random.Random(seed).shuffle(perm)
+        g = Digraph(9, [(perm[u], perm[v]) for u, v in t9.edges])
+        assert _report(g) == want, seed
+
+
+def test_skewness_exact_matches_partition_oracle():
+    # the value is the minimum over every partition, and the witness the
+    # first partition in restricted-growth order that reaches it
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        g = random_dag(rng, n, rng.choice([0.3, 0.5, 0.8]))
+        partitions = list(all_partitions(n))
+        values = [brute_coloring_skew(g, blocks) for blocks in partitions]
+        rep = skewness_exact(g)
+        assert rep.value == min(values)
+        assert rep.witness_coloring.to_lists() == partitions[values.index(rep.value)]
+
+
+def test_best_block_order_matches_permutations():
+    rng = random.Random(41)
+    for _ in range(150):
+        k = rng.randint(0, 6)
+        top = rng.choice([1, 3, 9])
+        w = [[0 if a == b else rng.randint(0, top) for b in range(k)] for a in range(k)]
+        scores = [
+            sum(w[order[i]][order[j]] for i in range(k) for j in range(i + 1, k))
+            for order in itertools.permutations(range(k))
+        ]
+        best = max(scores)
+        first = next(itertools.islice(itertools.permutations(range(k)), scores.index(best), None))
+        assert _best_block_order(w, k) == (best, list(first))
 
 
 def test_random_upper_bound():
