@@ -19,11 +19,18 @@ question: the greedy cover and the exact search build their groups
 with it, a pair of copies conflicts when a one-copy group cannot add
 the other (the exact search's conflict table), the clique lower bound
 keeps one group per member, and `compatible` grows one group.
+
+Two copies can conflict only if they share two vertices.  Each copy is
+acyclic, so a cycle in their union uses edges of both, and a simple
+cycle switches from one copy's edges to the other's at two distinct
+vertices, both shared.  The conflict table (`_conflict_masks`)
+therefore tests only the pairs of copies that hold a common vertex pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Collection, Iterable, Optional, Sequence
 
 from .digraph import (
@@ -83,8 +90,17 @@ class CoverSolution:
     def covers(self, copies: Sequence[Copy]) -> bool:
         if len(copies) != len(self.assignment):
             return False
+        # positions built here rather than through Permutation.position,
+        # which would cache one tuple on every permutation returned
+        positions = []
+        for perm in self.permutations:
+            pos = [0] * len(perm.order)
+            for at, v in enumerate(perm.order):
+                pos[v] = at
+            positions.append(pos)
         for copy, idx in zip(copies, self.assignment):
-            if forward_count(copy.edges, self.permutations[idx]) != len(copy.edges):
+            pos = positions[idx]
+            if any(pos[u] >= pos[v] for u, v in copy.edges):
                 return False
         return True
 
@@ -513,6 +529,43 @@ class _Budget(Exception):
     pass
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of `mask`, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _conflict_masks(items: Sequence[Copy]) -> list[int]:
+    """Bit j of entry i is set iff copies i and j cannot share a group.
+
+    Only copies sharing two vertices can conflict (see the module
+    docstring), so each copy is tested, with a one-copy group's
+    can_add, against the later copies that share a vertex pair with it.
+    """
+    by_pair: dict[tuple[int, int], int] = {}
+    pairs = []
+    for i, c in enumerate(items):
+        own = list(combinations(sorted(c.vertices), 2))
+        pairs.append(own)
+        for pair in own:
+            by_pair[pair] = by_pair.get(pair, 0) | 1 << i
+    masks = [0] * len(items)
+    for i, c in enumerate(items):
+        near = 0
+        for pair in pairs[i]:
+            near |= by_pair[pair]
+        alone = _Group(c.edges)
+        for j in _bits(near >> (i + 1) << (i + 1)):  # the copies after i
+            if not alone.can_add(items[j].edges):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
 def tau_exact(
     g: Digraph,
     h: Digraph,
@@ -524,11 +577,15 @@ def tau_exact(
 
     Branch and bound over copy -> group assignments.  A greedy conflict
     clique is pre-assigned to distinct groups (sound: its members are
-    pairwise incompatible and group labels are interchangeable), the
-    next copy branched on is always one with the fewest compatible open
-    groups, and a copy may open at most one new group.  If the node
-    budget runs out, or the copy set is truncated, the result degrades
-    to (lower, upper) bounds.
+    pairwise incompatible and group labels are interchangeable), and a
+    copy may open at most one new group.  The next copy branched on is
+    the first remaining one with the most blocked groups, those holding
+    a member it conflicts with, so the fewest open groups left to try.
+    Blocked counts are kept up to date as copies join and leave groups
+    and groups open and close, not recounted at every node.  The
+    conflict table tests only copies sharing two vertices (see the
+    module docstring).  If the node budget runs out, or the copy set is
+    truncated, the result degrades to (lower, upper) bounds.
     """
     if budget < 0:
         raise InvalidInputError(f"node budget must be >= 0, got {budget}")
@@ -544,13 +601,7 @@ def tau_exact(
             f"exact tau needs a pairwise conflict table; limited to {MAX_EXACT_COPIES} copies, got {count}"
         )
 
-    conflict_mask = [0] * count
-    for i in range(count):
-        alone = _Group(items[i].edges)
-        for j in range(i + 1, count):
-            if not alone.can_add(items[j].edges):
-                conflict_mask[i] |= 1 << j
-                conflict_mask[j] |= 1 << i
+    conflict_mask = _conflict_masks(items)
 
     # deterministic greedy clique, best over all starting copies
     best_clique: list[int] = []
@@ -574,15 +625,29 @@ def tau_exact(
 
     anchor = sorted(best_clique)
     rest = [i for i in range(count) if i not in set(anchor)]
+    conflicts = [_bits(mask) for mask in conflict_mask]
 
     assignment = [-1] * count
     groups: list[_Group] = []
-    group_mask: list[int] = []
+    # hits[gi][j]: members of group gi in conflict with copy j;
+    # blocked[j]: groups with a hit on j, which copy j cannot join
+    hits: list[list[int]] = []
+    blocked = [0] * count
 
     def open_group(first: int) -> None:
         groups.append(_Group(items[first].edges))
-        group_mask.append(1 << first)
+        row = [0] * count
+        for j in conflicts[first]:
+            row[j] = 1
+            blocked[j] += 1
+        hits.append(row)
         assignment[first] = len(groups) - 1
+
+    def close_group(last: int) -> None:
+        groups.pop()
+        hits.pop()
+        for j in conflicts[last]:
+            blocked[j] -= 1
 
     for a in anchor:
         open_group(a)
@@ -601,32 +666,31 @@ def tau_exact(
             best_size = used
             best_assign = list(assignment)
             return
-        # most constrained copy first (pairwise screen only, for speed)
-        pick_at = 0
-        pick_options = count + 2
-        for at, i in enumerate(remaining):
-            opts = sum(1 for gi in range(used) if not conflict_mask[i] & group_mask[gi])
-            if opts < pick_options:
-                pick_options = opts
-                pick_at = at
-                if opts == 0:
-                    break
-        i = remaining[pick_at]
+        # most constrained copy first: the first with the most blocked groups
+        i = max(remaining, key=blocked.__getitem__)
+        pick_at = remaining.index(i)
         edges = items[i].edges
+        near = conflicts[i]
         others = remaining[:pick_at] + remaining[pick_at + 1:]
         for gi in range(used):
-            if not conflict_mask[i] & group_mask[gi] and groups[gi].can_add(edges):
+            row = hits[gi]
+            if not row[i] and groups[gi].can_add(edges):
                 groups[gi].add(edges)
-                group_mask[gi] |= 1 << i
+                for j in near:
+                    if not row[j]:
+                        blocked[j] += 1
+                    row[j] += 1
                 assignment[i] = gi
                 search(others)
                 groups[gi].remove(edges)
-                group_mask[gi] &= ~(1 << i)
+                for j in near:
+                    row[j] -= 1
+                    if not row[j]:
+                        blocked[j] -= 1
         if used + 1 < best_size:
             open_group(i)
             search(others)
-            groups.pop()
-            group_mask.pop()
+            close_group(i)
         assignment[i] = -1
 
     complete = True
@@ -634,6 +698,9 @@ def tau_exact(
         search(rest)
     except _Budget:
         complete = False
+    # search holds itself through its closure; dropping the name frees
+    # the groups and tables by reference counting
+    del search
 
     unions: list[set[Edge]] = [set() for _ in range(best_size)]
     for idx, gi in enumerate(best_assign):

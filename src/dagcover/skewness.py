@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Iterable, Sequence
 
-from .digraph import Digraph, Permutation, forward_count, is_dag, topological_order
+from .digraph import Digraph, Permutation, forward_count, is_dag, is_rooted_star, topological_order
 from .errors import InvalidInputError, SizeLimitError
 from .rng import substream
 
@@ -209,7 +209,9 @@ def skewness_exact(h: Digraph) -> SkewReport:
     partitions cannot beat the incumbent (see the module docstring):
     ceil((m + inside)/2), and inside plus the forward edges among the
     colored vertices with blocks sorted by net out-degree.  The search
-    stops at ceil(m/2), which no partition can beat.
+    stops at ceil(m/2), which no partition can beat.  A rooted star
+    skips it: every partition has value m, so the witness is the
+    search's first leaf, all vertices in one block.
     """
     _check_pattern(h)
     if h.n > MAX_EXACT_VERTICES:
@@ -220,6 +222,10 @@ def skewness_exact(h: Digraph) -> SkewReport:
     if h.n == 0:
         raise InvalidInputError("skewness needs at least one vertex")
     n, m = h.n, h.edge_count
+    if m and is_rooted_star(h):
+        best_blocks = (frozenset(range(n)),)
+        return SkewReport(value=m, witness_coloring=Partition._from_trusted(best_blocks),
+                          witness_order=_order_for_blocks(h, best_blocks, [0]))
     floor_bound = ceil(m / 2)
 
     best_value = m + 1

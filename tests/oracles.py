@@ -3,7 +3,8 @@
 Everything here recomputes results along a different route than the
 package: permutation covers are minimized by exhaustive search over all
 n! coverage sets, coloring skews by explicitly generating every
-respecting permutation, graph catalogs by raw bitmask enumeration.
+respecting permutation, graph catalogs by raw bitmask enumeration,
+copy conflicts by a Kahn peel of each pair's edge union.
 """
 
 from __future__ import annotations
@@ -179,3 +180,19 @@ def perm_cover_minimum(g: Digraph, h: Digraph) -> int:
         if coverable(full, t):
             return t
     return greedy_ub
+
+
+def conflict_masks_dense(copies) -> list[int]:
+    """Bit j of entry i is set iff the edge union of copies i and j has a cycle.
+
+    Every pair is tested, by is_dag on the union, without the group engine.
+    """
+    masks = [0] * len(copies)
+    for i, a in enumerate(copies):
+        for j in range(i + 1, len(copies)):
+            union = a.edges | copies[j].edges
+            n = 1 + max(max(e) for e in union)
+            if not is_dag(Digraph(n, union)):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -5,6 +6,7 @@ import pytest
 
 from dagcover.covering import (
     Copy,
+    _conflict_masks,
     _Group,
     compatible,
     consistent_sets,
@@ -32,12 +34,26 @@ from dagcover.experiments import sample_digraph
 from dagcover.rng import substream
 from dagcover.skewness import Partition
 
-from oracles import complete_digraph, perm_cover_minimum, random_digraph
+from oracles import complete_digraph, conflict_masks_dense, perm_cover_minimum, random_digraph
 
 T3 = make_transitive_tournament(3)
 P3 = make_directed_path(2)
 
 TWO_TRIANGLES = Digraph(4, [(0, 1), (1, 2), (0, 2), (1, 0), (0, 3), (1, 3)])
+
+# the benchmark's exact_tau family: pattern -> (pattern graph, edge probability, draws), n = 8
+FAMILY = {"T3": (T3, 0.55, 20), "P2": (P3, 0.35, 12)}
+
+
+def family_draw(name: str, draw: int) -> Digraph:
+    rng = random.Random(f"{name}:{draw}")
+    p = FAMILY[name][1]
+    return Digraph(8, [(u, v) for u in range(8) for v in range(8) if u != v and rng.random() < p])
+
+
+def solution_digest(sol) -> str:
+    text = repr((sol.assignment, [p.order for p in sol.permutations]))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def test_enumerate_examples():
@@ -266,6 +282,58 @@ def test_seeded_covers_pinned():
     assert [tau_lower_clique(larger, T3, seed, copies=cs) for seed in range(8)] == [
         2, 2, 2, 3, 3, 4, 2, 3
     ]
+
+
+def test_conflict_masks_match_dense_oracle():
+    # the pair index skips copies sharing fewer than two vertices; the
+    # oracle tests every pair with a Kahn peel of the union
+    hosts = [(family_draw(name, d), pattern) for name, (pattern, _, draws) in FAMILY.items()
+             for d in range(draws)]
+    hosts += [(complete_digraph(5), T3), (complete_digraph(6), T3), (sample_digraph(8, 0.45, 24), T3)]
+    # 4-vertex patterns, whose copies can share three vertices
+    diamond = Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    rng = random.Random(8)
+    for pattern in (make_transitive_tournament(4), make_directed_path(3), diamond):
+        hosts += [(random_digraph(rng, 6, 0.5), pattern) for _ in range(3)]
+    shared3 = 0
+    for g, pattern in hosts:
+        copies = enumerate_copies(g, pattern).copies
+        assert _conflict_masks(copies) == conflict_masks_dense(copies), (g, pattern)
+        if pattern.n == 4:
+            shared3 += sum(len(a.vertices & b.vertices) == 3 for a in copies for b in copies)
+    assert shared3
+
+
+# (pattern, draw, tau, nodes, solution digest), recorded before the sparse
+# conflict table and the kept blocked counts; T3 draw 3 ends at the budget
+FAMILY_PINNED = [
+    ("T3", 0, 6, 0, "6b677842bcfbf160"), ("T3", 1, 6, 11, "bf1c52b35091c2f0"),
+    ("T3", 2, 4, 122, "9d9a9ea794063e02"), ("T3", 4, 6, 11, "fc0b14de49e104a1"),
+    ("T3", 5, 6, 162, "f2c116d3cad06b33"), ("T3", 6, 5, 2121, "75b5e0433c0b5fe5"),
+    ("T3", 7, 6, 111, "b0302eda51214cf6"), ("T3", 8, 6, 0, "70fc0dd72dfe8c97"),
+    ("T3", 9, 6, 127, "c5a840e28331c42f"), ("T3", 10, 6, 23, "8ab0c166034442dc"),
+    ("T3", 11, 4, 26, "0b87f191bf80b05f"), ("T3", 12, 6, 11, "a1a5885c0c40d5ae"),
+    ("T3", 13, 6, 449, "fdf180366d519be9"), ("T3", 14, 6, 61, "aa4d731b9691fd1e"),
+    ("T3", 15, 6, 0, "4e0d2bca62c9a711"), ("T3", 16, 6, 11, "463aa179f0b2c692"),
+    ("T3", 17, 6, 218, "4641b5debda20292"), ("T3", 18, 4, 0, "dcc0a13acda0ae21"),
+    ("T3", 19, 6, 283, "b0548d07f839ffae"),
+    ("P2", 0, 4, 0, "a24eb378bab890c0"), ("P2", 1, 3, 0, "30dea409e6a75888"),
+    ("P2", 2, 4, 90, "01bf3d5ab3aca566"), ("P2", 3, 4, 0, "8648053545d2a84b"),
+    ("P2", 4, 3, 67, "fabd5ba65127a6ae"), ("P2", 5, 2, 0, "e8e71cd98d741c3b"),
+    ("P2", 6, 3, 44, "398c2d94129b0bb3"), ("P2", 7, 3, 69, "cac20cf4cf84fb05"),
+    ("P2", 8, 4, 70, "7895fac10c15e0d9"), ("P2", 9, 4, 75, "00c1a3efe6f03b48"),
+    ("P2", 10, 4, 45, "c07fcba21bae03c6"), ("P2", 11, 4, 0, "1974edf7c674d968"),
+]
+
+
+def test_exact_search_pinned():
+    for name, draw, tau, nodes, digest in FAMILY_PINNED:
+        res = tau_exact(family_draw(name, draw), FAMILY[name][0], budget=100_000)
+        assert (res.lower, res.upper, res.exact, res.nodes) == (tau, tau, True, nodes), (name, draw)
+        assert solution_digest(res.solution) == digest, (name, draw)
+    k6 = tau_exact(complete_digraph(6), T3, budget=20_000)
+    assert (k6.lower, k6.upper, k6.exact, k6.nodes) == (6, 8, False, 20_001)
+    assert solution_digest(k6.solution) == "cec27cbbf7f9a154"
 
 
 def test_tau_oracle_and_sandwich_random():

@@ -230,10 +230,19 @@ def test_skewness_exact_matches_partition_oracle():
     # the value is the minimum over every partition, and the witness the
     # first partition in restricted-growth order that reaches it
     rng = random.Random(31)
+    graphs = []
     for _ in range(60):
         n = rng.randint(1, 6)
-        g = random_dag(rng, n, rng.choice([0.3, 0.5, 0.8]))
-        partitions = list(all_partitions(n))
+        graphs.append(random_dag(rng, n, rng.choice([0.3, 0.5, 0.8])))
+    # rooted stars, which skip the search, relabelled and with an isolated vertex
+    for n in range(2, 6):
+        for source in (True, False):
+            label = list(range(n + 1))
+            rng.shuffle(label)
+            star = make_rooted_star(n, source)
+            graphs.append(Digraph(n + 1, [(label[u], label[v]) for u, v in star.edges]))
+    for g in graphs:
+        partitions = list(all_partitions(g.n))
         values = [brute_coloring_skew(g, blocks) for blocks in partitions]
         rep = skewness_exact(g)
         assert rep.value == min(values)
