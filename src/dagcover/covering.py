@@ -13,24 +13,30 @@ acyclic.  The brute-force oracle over all n! permutations in the test
 suite confirms the equivalence.
 
 `_Group` is the one group engine: an acyclic copy union with a
-topological order, grown by a read-only `can_add` and an `add` that
-cannot fail, and shrunk by `remove`.  It decides every copy-family
-question: the greedy cover and the exact search build their groups
-with it, a pair of copies conflicts when a one-copy group cannot add
-the other (the exact search's conflict table), the clique lower bound
-keeps one group per member, and `compatible` grows one group.
+topological order, grown by `can_add` (which changes no answer) and an
+`add` that cannot fail, and shrunk by `remove`.  It decides every
+copy-family question: the greedy cover and the exact search build their
+groups with it, the clique lower bound keeps one group per member,
+`compatible` grows one group, and the exact search's conflict table
+asks a one-copy group about the pairs its lookup cannot decide (below).
 
-Two copies can conflict only if they share two vertices.  Each copy is
-acyclic, so a cycle in their union uses edges of both, and a simple
-cycle switches from one copy's edges to the other's at two distinct
-vertices, both shared.  The conflict table (`_conflict_masks`)
-therefore tests only the pairs of copies that hold a common vertex pair.
+Two copies conflict when their union has a cycle.  Each copy is
+acyclic, so a simple cycle in the union uses edges of both: it switches
+from one copy's edges to the other's and back at 2k distinct vertices,
+all shared, and each stretch between two switches is a path inside one
+copy, so a reachable pair of that copy.  When the copies share at most
+three vertices, 2k = 2: one copy reaches b from a and the other reaches
+a from b.  Conversely, two such paths make a closed walk in the union,
+so a cycle.  The conflict table (`_conflict_masks`) decides such pairs
+by looking up reachable pairs, and tests only the copies sharing four
+or more vertices with a group.  The lookup alone would miss some of
+those: the copies {(0, 1), (2, 3)} and {(1, 2), (3, 0)} close a 4-cycle
+but reach no pair in opposite directions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Collection, Iterable, Optional, Sequence
 
 from .digraph import (
@@ -71,7 +77,7 @@ class CopySet:
         return len(self.copies)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverSolution:
     """Permutations plus copy -> permutation assignment; every copy fully forward.
 
@@ -90,14 +96,7 @@ class CoverSolution:
     def covers(self, copies: Sequence[Copy]) -> bool:
         if len(copies) != len(self.assignment):
             return False
-        # positions built here rather than through Permutation.position,
-        # which would cache one tuple on every permutation returned
-        positions = []
-        for perm in self.permutations:
-            pos = [0] * len(perm.order)
-            for at, v in enumerate(perm.order):
-                pos[v] = at
-            positions.append(pos)
+        positions = [perm.position for perm in self.permutations]
         for copy, idx in zip(copies, self.assignment):
             pos = positions[idx]
             if any(pos[u] >= pos[v] for u, v in copy.edges):
@@ -305,17 +304,26 @@ class _Group:
         self.pos: dict[int, int] = {}
         self.order: list[int] = []
         self.count: dict[Edge, int] = {}
+        # edges (u, v) whose head v reaches u over group edges alone: no
+        # copy holding one fits while the union only grows; remove clears it
+        self.closing: set[Edge] = set()
         self.add(edges)
 
     def can_add(self, edges: Collection[Edge]) -> bool:
-        """True iff the union stays acyclic with `edges` added; changes nothing.
+        """True iff the union stays acyclic with `edges` added.
 
         Vertices new to the group count as placed after the current
         order.  Group edges all run forward, so the highest vertex of a
         cycle is the tail u of a backward new edge (u, v), and the rest
         of the cycle lies below it: a search from v over positions below
-        pos(u) finds the cycle.
+        pos(u) finds the cycle.  It follows group edges first; when they
+        close the cycle with (u, v) alone, (u, v) goes into `closing`,
+        which refuses the next copy holding it at once.  The group and
+        every answer stay as they are.
         """
+        closing = self.closing
+        if closing and not closing.isdisjoint(edges):
+            return False
         pos = self.pos
         end = len(self.order)
         at: dict[int, int] = {}
@@ -331,6 +339,17 @@ class _Group:
                 continue
             seen = {v}
             stack = [v]
+            # group edges first: a cycle closed by (u, v) alone is memoised
+            while stack:
+                for y in out.get(stack.pop(), ()):
+                    if y == u:
+                        closing.add((u, v))
+                        return False
+                    if y not in seen and pos[y] < top:
+                        seen.add(y)
+                        stack.append(y)
+            # then the other new edges too, from the tails reached so far
+            stack = [x for x in tails if x in seen]
             while stack:
                 x = stack.pop()
                 for y in out.get(x, ()):
@@ -400,8 +419,11 @@ class _Group:
     def remove(self, edges: Iterable[Edge]) -> None:
         """Take one copy's edges out; an edge leaves when no member holds it.
 
-        Deleting edges keeps any topological order valid, so nothing moves.
+        Deleting edges keeps any topological order valid, so nothing
+        moves, but the path behind a `closing` edge may go, so the memo
+        is cleared.
         """
+        self.closing.clear()
         for e in edges:
             left = self.count[e] - 1
             if left:
@@ -503,7 +525,7 @@ def tau_lower_clique(
 
 # --- exact tau --------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TauExactResult:
     """Bounds on tau over the copies in the set, exact only when they meet.
 
@@ -539,27 +561,61 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _reach(copy: Copy) -> set[Edge]:
+    """The pairs (a, b) such that the copy has a path from a to b."""
+    out: dict[int, list[int]] = {}
+    for u, v in copy.edges:
+        out.setdefault(u, []).append(v)
+    pairs: set[Edge] = set()
+    for a in out:
+        seen: set[int] = set()
+        stack = [a]
+        while stack:
+            for b in out.get(stack.pop(), ()):
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        pairs.update((a, b) for b in seen)
+    return pairs
+
+
 def _conflict_masks(items: Sequence[Copy]) -> list[int]:
     """Bit j of entry i is set iff copies i and j cannot share a group.
 
-    Only copies sharing two vertices can conflict (see the module
-    docstring), so each copy is tested, with a one-copy group's
-    can_add, against the later copies that share a vertex pair with it.
+    Copies i and j conflict when one reaches b from a and the other
+    reaches a from b, found by looking up each reachable pair of copy i,
+    reversed, in an index of every copy's reachable pairs.  That test is
+    exact for copies sharing at most three vertices (see the module
+    docstring), so only the later copies sharing four or more vertices
+    and not marked yet are tested, with a one-copy group's can_add.
     """
-    by_pair: dict[tuple[int, int], int] = {}
-    pairs = []
-    for i, c in enumerate(items):
-        own = list(combinations(sorted(c.vertices), 2))
-        pairs.append(own)
-        for pair in own:
+    reach = [_reach(c) for c in items]
+    by_pair: dict[Edge, int] = {}
+    for i, pairs in enumerate(reach):
+        for pair in pairs:
             by_pair[pair] = by_pair.get(pair, 0) | 1 << i
-    masks = [0] * len(items)
+    masks = []
+    for pairs in reach:
+        mask = 0
+        for a, b in pairs:
+            mask |= by_pair.get((b, a), 0)
+        masks.append(mask)
+    if all(len(c.vertices) < 4 for c in items):
+        return masks
+    by_vertex: dict[int, int] = {}
     for i, c in enumerate(items):
-        near = 0
-        for pair in pairs[i]:
-            near |= by_pair[pair]
+        for w in c.vertices:
+            by_vertex[w] = by_vertex.get(w, 0) | 1 << i
+    for i, c in enumerate(items):
+        # shared[k - 1]: the copies sharing at least k of copy i's vertices
+        shared = [0] * 4
+        for w in c.vertices:
+            mask = by_vertex[w]
+            for k in range(3, 0, -1):
+                shared[k] |= shared[k - 1] & mask
+            shared[0] |= mask
         alone = _Group(c.edges)
-        for j in _bits(near >> (i + 1) << (i + 1)):  # the copies after i
+        for j in _bits((shared[3] & ~masks[i]) >> (i + 1) << (i + 1)):  # later, unmarked
             if not alone.can_add(items[j].edges):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
@@ -583,9 +639,10 @@ def tau_exact(
     a member it conflicts with, so the fewest open groups left to try.
     Blocked counts are kept up to date as copies join and leave groups
     and groups open and close, not recounted at every node.  The
-    conflict table tests only copies sharing two vertices (see the
-    module docstring).  If the node budget runs out, or the copy set is
-    truncated, the result degrades to (lower, upper) bounds.
+    conflict table comes from lookups of each copy's reachable pairs,
+    with a group test only for copies sharing four or more vertices
+    (see the module docstring).  If the node budget runs out, or the
+    copy set is truncated, the result degrades to (lower, upper) bounds.
     """
     if budget < 0:
         raise InvalidInputError(f"node budget must be >= 0, got {budget}")

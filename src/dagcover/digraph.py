@@ -101,9 +101,9 @@ class Digraph:
         return f"Digraph(n={self.n}, edges={sorted(self.edges)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
-    """A vertex order; position(v) is the index of v in `order`."""
+    """A vertex order; position[v] is the index of v in `order`, built on each read."""
 
     order: tuple[int, ...]
 
@@ -122,7 +122,7 @@ class Permutation:
     def __len__(self) -> int:
         return len(self.order)
 
-    @cached_property
+    @property
     def position(self) -> tuple[int, ...]:
         pos = [0] * len(self.order)
         for i, v in enumerate(self.order):

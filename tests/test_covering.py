@@ -1,13 +1,18 @@
 import hashlib
+import pickle
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from dagcover.covering import (
     Copy,
+    CoverSolution,
+    TauExactResult,
     _conflict_masks,
     _Group,
+    _reach,
     compatible,
     consistent_sets,
     enumerate_copies,
@@ -184,6 +189,38 @@ def test_group_matches_batch_recompute():
     assert group.can_add({(5, 0), (0, 6), (6, 1), (5, 1)})
 
 
+def test_group_closing_memo_matches_fresh_groups():
+    # can_add keeps the edges that close a cycle with group edges alone;
+    # after every add and remove its answers must match a group built
+    # afresh from the current members and is_dag on the union
+    rng = random.Random(31)
+    hits = clears = 0
+    for _ in range(12):
+        g = random_digraph(rng, 7, 0.5)
+        copies = list(enumerate_copies(g, T3).copies + enumerate_copies(g, P3).copies)
+        group = _Group()
+        members: list = []
+        for _ in range(40):
+            if members and rng.random() < 0.3:
+                had = bool(group.closing)
+                group.remove(members.pop(rng.randrange(len(members))).edges)
+                clears += had and not group.closing
+            else:
+                c = rng.choice(copies)
+                if group.can_add(c.edges):
+                    group.add(c.edges)
+                    members.append(c)
+            fresh = _Group()
+            for m in members:
+                fresh.add(m.edges)
+            union = set().union(*(m.edges for m in members))
+            for c in copies:
+                hits += bool(group.closing & c.edges)
+                got = group.can_add(c.edges)
+                assert got == fresh.can_add(c.edges) == is_dag(Digraph(7, union | c.edges)), c
+    assert hits and clears
+
+
 def test_tau_greedy():
     sol = tau_greedy(complete_digraph(3), T3, seed=1)
     assert sol.size >= 2
@@ -290,18 +327,43 @@ def test_conflict_masks_match_dense_oracle():
     hosts = [(family_draw(name, d), pattern) for name, (pattern, _, draws) in FAMILY.items()
              for d in range(draws)]
     hosts += [(complete_digraph(5), T3), (complete_digraph(6), T3), (sample_digraph(8, 0.45, 24), T3)]
-    # 4-vertex patterns, whose copies can share three vertices
+    # 4-vertex patterns, whose copies can share three vertices, or four
+    # for two disjoint edges
     diamond = Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    two_edges = Digraph(4, [(0, 1), (2, 3)])
     rng = random.Random(8)
-    for pattern in (make_transitive_tournament(4), make_directed_path(3), diamond):
+    for pattern in (make_transitive_tournament(4), make_directed_path(3), diamond, two_edges):
         hosts += [(random_digraph(rng, 6, 0.5), pattern) for _ in range(3)]
-    shared3 = 0
+    # 5-vertex patterns, whose copies can share four vertices, which the
+    # reachable-pair lookup alone does not decide
+    for pattern in (make_transitive_tournament(5), make_directed_path(4),
+                    Digraph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (0, 4)])):
+        hosts += [(random_digraph(rng, 7, 0.5), pattern) for _ in range(3)]
+    shared = Counter()
     for g, pattern in hosts:
         copies = enumerate_copies(g, pattern).copies
         assert _conflict_masks(copies) == conflict_masks_dense(copies), (g, pattern)
-        if pattern.n == 4:
-            shared3 += sum(len(a.vertices & b.vertices) == 3 for a in copies for b in copies)
-    assert shared3
+        if pattern.n >= 4:
+            shared.update(min(len(a.vertices & b.vertices), 4) for a, b in combinations(copies, 2))
+    assert shared[3] and shared[4]
+
+
+def test_conflict_masks_four_shared_vertices():
+    # a 4-cycle through both copies, with no pair reached in opposite directions
+    a = Copy(frozenset(range(4)), frozenset({(0, 1), (2, 3)}))
+    b = Copy(frozenset(range(4)), frozenset({(1, 2), (3, 0)}))
+    assert not _reach(a) & {(w, u) for u, w in _reach(b)}
+    assert _conflict_masks([a, b]) == conflict_masks_dense([a, b]) == [0b10, 0b01]
+
+
+def test_reach():
+    def whole(pattern):
+        return Copy(frozenset(range(pattern.n)), pattern.edges)
+
+    assert _reach(whole(P3)) == {(0, 1), (1, 2), (0, 2)}
+    assert _reach(whole(T3)) == T3.edges
+    diamond = Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    assert _reach(whole(diamond)) == diamond.edges | {(0, 3)}
 
 
 # (pattern, draw, tau, nodes, solution digest), recorded before the sparse
@@ -479,3 +541,16 @@ def test_pipeline_profile_bounded_random():
         assert all(c <= 2 for c in profile)
         assert profile == tuple(forward_count(copy.edges, p) for p in perms)
     assert hits > 0
+
+
+def test_result_records_are_slotted_and_pickle():
+    # frozen slotted dataclasses; pickling them had bugs on early Python 3.10
+    res = tau_exact(family_draw("T3", 2), T3, budget=100_000)
+    perm = res.solution.permutations[0]
+    for obj in (perm, res.solution, res):
+        assert not hasattr(obj, "__dict__")
+        assert pickle.loads(pickle.dumps(obj)) == obj
+    assert isinstance(res, TauExactResult) and isinstance(res.solution, CoverSolution)
+    p = Permutation([2, 0, 3, 1])
+    assert p.position == (1, 3, 0, 2)
+    assert pickle.loads(pickle.dumps(p)).position == p.position
