@@ -8,6 +8,12 @@ Two independent routes compute the same quantities:
   iteration (Dinkelbach 1967) on Goldberg's min-cut (one cut per root
   for arboricity), entirely in exact arithmetic: each round's best cut
   gives the next ratio, and the last round's maximal cuts the witness.
+  A round builds one network; each root's cut starts from the previous
+  root's maximum flow, whose network differs only in two sink arcs
+  (the warm start of parametric max flow, Gallo, Grigoriadis and
+  Tarjan 1989).  Which maximum flow is found never shows: its value is
+  unique, and so is the maximal min-cut source side (Picard and
+  Queyranne 1980).
 
 Both accept directed and undirected graphs; a directed 2-cycle counts
 as two edges.  Isolated vertices never appear in a witness (they only
@@ -175,15 +181,24 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(0)
 
-    def _levels(self, s: int) -> list[int]:
+    def _levels(self, s: int, t: int) -> list[int]:
+        """BFS levels in the residual graph, up to the moment t is labelled.
+
+        Every node closer to s than t is labelled by then; the rest stay
+        at -1, which keeps the blocking-flow search off them.
+        """
+        to, cap, adj = self.to, self.cap, self.adj
         level = [-1] * self.n
         level[s] = 0
         queue = [s]
         for u in queue:
-            for a in self.adj[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
+            next_level = level[u] + 1
+            for a in adj[u]:
+                v = to[a]
+                if cap[a] > 0 and level[v] < 0:
+                    level[v] = next_level
+                    if v == t:
+                        return level
                     queue.append(v)
         return level
 
@@ -191,7 +206,7 @@ class _Dinic:
         flow = 0
         to, cap, adj = self.to, self.cap, self.adj
         while True:
-            level = self._levels(s)
+            level = self._levels(s, t)
             if level[t] < 0:
                 return flow
             it = [0] * self.n
@@ -211,37 +226,40 @@ class _Dinic:
                     del path[first_sat:]
                     u = to[path[-1]] if path else s
                     continue
-                advanced = False
-                while it[u] < len(adj[u]):
-                    a = adj[u][it[u]]
-                    v = to[a]
-                    if cap[a] > 0 and level[v] == level[u] + 1:
-                        path.append(a)
-                        u = v
-                        advanced = True
+                arcs, i, want = adj[u], it[u], level[u] + 1
+                end = len(arcs)
+                while i < end:
+                    a = arcs[i]
+                    if cap[a] > 0 and level[to[a]] == want:
                         break
-                    it[u] += 1
-                if not advanced:
-                    if u == s:
-                        break
-                    level[u] = -1
-                    a = path.pop()
-                    u = to[a ^ 1]
-                    it[u] += 1
+                    i += 1
+                it[u] = i
+                if i < end:
+                    path.append(a)
+                    u = to[a]
+                    continue
+                if u == s:
+                    break
+                level[u] = -1
+                a = path.pop()
+                u = to[a ^ 1]
+                it[u] += 1
 
     def source_side_maximal(self, t: int) -> set[int]:
-        """After max_flow: nodes that cannot reach t in the residual graph."""
-        rev: list[list[int]] = [[] for _ in range(self.n)]
-        for u in range(self.n):
-            for a in self.adj[u]:
-                if self.cap[a] > 0:
-                    rev[self.to[a]].append(u)
+        """After max_flow: nodes that cannot reach t in the residual graph.
+
+        Walks backward from t: for an arc a out of v, its pair a ^ 1 runs
+        from to[a] into v, so to[a] reaches v when a ^ 1 has residual
+        capacity.
+        """
+        to, cap, adj = self.to, self.cap, self.adj
         reach_t = [False] * self.n
         reach_t[t] = True
         queue = [t]
         for v in queue:
-            for u in rev[v]:
-                if not reach_t[u]:
+            for a in adj[v]:
+                u = to[a]
+                if cap[a ^ 1] > 0 and not reach_t[u]:
                     reach_t[u] = True
                     queue.append(u)
         return {v for v in range(self.n) if not reach_t[v]}
@@ -254,7 +272,11 @@ def _build_network(
     q: int,
     root: int | None,
 ) -> tuple[_Dinic, int]:
-    """Source -> tokens (cap q) -> endpoints (inf) -> sink (cap p; 0 at root)."""
+    """Source -> tokens (cap q) -> endpoints (inf) -> sink (cap p; 0 at root).
+
+    Token i's source arc is arc 6i; vertex active[j]'s sink arc is arc
+    6 * len(tokens) + 2j.
+    """
     index = {v: i for i, v in enumerate(active)}
     t_count = len(tokens)
     n_nodes = 2 + t_count + len(active)
@@ -275,23 +297,63 @@ def _cuts(
     active: list[int],
     lam: Fraction,
     roots: Iterable[int | None],
-) -> Iterator[tuple[int, set[int]]]:
+    sides: bool = True,
+) -> Iterator[tuple[int, set[int] | None]]:
     """Per root, the gain q*m - maxflow at lam = p/q and the maximal source side.
 
     The gain is q * max over S of [e(S) - lam*|S|] (root None, density)
     or of [e(S) - lam*(|S|-1)] over S containing the root (arboricity:
     the root's sink capacity is zeroed so that the -lam shift applies
     exactly once).  It is never negative, and the maximal min-cut side
-    is a subset attaining it.  Yielded one root at a time, so a caller
+    is a subset attaining it (None when ``sides`` is false, for callers
+    that read only gains).  Yielded one root at a time, so a caller
     that only needs a positive gain stops at the first.
+
+    One network serves every root.  Moving to the next root, the
+    previous root's sink arc gets capacity p back (it carries no flow,
+    so the flow stays feasible), and the new root's flow f returns to
+    the source along source -> token -> root before its sink arc drops
+    to 0; max_flow then augments from there.  The answers do not depend
+    on which maximum flow is found: its value is unique, and so is the
+    set of nodes that reach the sink in its residual graph (Picard and
+    Queyranne 1980), whose complement is the maximal source side.
     """
     p, q = lam.numerator, lam.denominator
     t_count = len(tokens)
+    net, sink = _build_network(tokens, active, p, q, None)
+    to, cap, adj = net.to, net.cap, net.adj
+    index = {v: i for i, v in enumerate(active)}
+    flow = 0
+    zeroed = None  # sink arc of the previous root
     for root in roots:
-        net, sink = _build_network(tokens, active, p, q, root)
-        gain = q * t_count - net.max_flow(0, sink)
-        side = net.source_side_maximal(sink)
-        yield gain, {active[i - 1 - t_count] for i in side if i > t_count and i != sink}
+        if zeroed is not None:
+            cap[zeroed] = p
+            zeroed = None
+        if root is not None:
+            j = index[root]
+            zeroed = 6 * t_count + 2 * j
+            f = cap[zeroed ^ 1]
+            flow -= f
+            # the f units arrive on token -> root arcs, whose reverses come
+            # before the sink arc in the root's list
+            for a in adj[1 + t_count + j]:
+                if not f:
+                    break
+                back = min(f, cap[a])
+                src = 6 * (to[a] - 1)
+                cap[a] -= back
+                cap[a ^ 1] += back
+                cap[src] += back
+                cap[src ^ 1] -= back
+                f -= back
+            cap[zeroed] = cap[zeroed ^ 1] = 0
+        flow += net.max_flow(0, sink)
+        gain = q * t_count - flow
+        if sides:
+            side = net.source_side_maximal(sink)
+            yield gain, {active[i - 1 - t_count] for i in side if i > t_count and i != sink}
+        else:
+            yield gain, None
 
 
 def _parametric_max(g: Graph, kind: str) -> DensityReport:
@@ -347,4 +409,5 @@ def is_totally_balanced(g: Graph) -> bool:
     if g.isolated_vertices():
         raise InvalidInputError("balance test requires a graph without isolated vertices")
     active = _active_vertices(tokens)
-    return not any(gain > 0 for gain, _ in _cuts(tokens, active, Fraction(len(tokens), g.n - 1), active))
+    lam = Fraction(len(tokens), g.n - 1)
+    return not any(gain > 0 for gain, _ in _cuts(tokens, active, lam, active, sides=False))

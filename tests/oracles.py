@@ -4,15 +4,18 @@ Everything here recomputes results along a different route than the
 package: permutation covers are minimized by exhaustive search over all
 n! coverage sets, coloring skews by explicitly generating every
 respecting permutation, graph catalogs by raw bitmask enumeration,
-copy conflicts by a Kahn peel of each pair's edge union.
+copy conflicts by a Kahn peel of each pair's edge union, and per-root
+min cuts on a fresh network with a flow from zero.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from dagcover.covering import enumerate_copies
+from dagcover.density import _build_network
 from dagcover.digraph import Digraph, Permutation, forward_count, is_dag
 
 
@@ -196,3 +199,32 @@ def conflict_masks_dense(copies) -> list[int]:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
+
+
+def cuts_from_scratch(tokens, active, lam: Fraction, roots) -> list[tuple[int, set[int]]]:
+    """Per root, (gain, maximal source side) as `density._cuts` yields them.
+
+    Each root gets its own network and a max flow from zero; the source
+    side is what cannot reach the sink, found over an explicit reverse
+    adjacency list of the residual graph.
+    """
+    p, q = lam.numerator, lam.denominator
+    t_count = len(tokens)
+    out = []
+    for root in roots:
+        net, sink = _build_network(tokens, active, p, q, root)
+        gain = q * t_count - net.max_flow(0, sink)
+        rev: list[list[int]] = [[] for _ in range(net.n)]
+        for u in range(net.n):
+            for a in net.adj[u]:
+                if net.cap[a] > 0:
+                    rev[net.to[a]].append(u)
+        reach_t = {sink}
+        queue = [sink]
+        for v in queue:
+            for u in rev[v]:
+                if u not in reach_t:
+                    reach_t.add(u)
+                    queue.append(u)
+        out.append((gain, {active[i - 1 - t_count] for i in range(1 + t_count, sink) if i not in reach_t}))
+    return out

@@ -10,7 +10,8 @@ from dagcover.density import (
     is_totally_balanced,
     maximal_density,
 )
-from dagcover.density import _active_vertices, _check_input, _cuts  # candidate-grid invariant
+from dagcover import density
+from dagcover.density import _active_vertices, _check_input, _cuts  # the min-cut layer itself
 from dagcover.digraph import Digraph, make_transitive_tournament
 from dagcover.errors import (
     InvalidInputError,
@@ -19,7 +20,7 @@ from dagcover.errors import (
 )
 from dagcover.experiments import figure1_graph, sample_undirected
 
-from oracles import random_digraph, random_tree
+from oracles import cuts_from_scratch, random_digraph, random_tree
 
 
 def test_tournament_arboricity_is_half_h():
@@ -154,6 +155,79 @@ def test_balance_matches_enum_random():
         whole = Fraction(g.edge_count, g.n - 1)
         assert is_totally_balanced(g) == (densest_subset_enum(g).value == whole), g
     assert checked >= 60
+
+
+def _warm_matches_scratch(g, lam: Fraction, roots) -> None:
+    tokens = _check_input(g)
+    active = _active_vertices(tokens)
+    expected = cuts_from_scratch(tokens, active, lam, roots)
+    assert list(_cuts(tokens, active, lam, roots)) == expected, (g, lam, roots)
+    gains_only = list(_cuts(tokens, active, lam, roots, sides=False))
+    assert gains_only == [(gain, None) for gain, _ in expected], (g, lam, roots)
+
+
+def test_warm_cuts_match_scratch_random():
+    rng = random.Random(63)
+    two_cycles = 0
+    for _ in range(60):
+        g = random_digraph(rng, rng.randint(2, 11), rng.choice([0.3, 0.6, 0.9]))
+        if g.edge_count == 0:
+            continue
+        two_cycles += any((v, u) in g.edges for u, v in g.edges)
+        active = _active_vertices(_check_input(g))
+        value = densest_subset_enum(g).value
+        roots = list(active)
+        rng.shuffle(roots)
+        roots.insert(rng.randrange(len(roots) + 1), rng.choice(roots))  # one root twice
+        for lam in (value, value - Fraction(1, 97), Fraction(rng.randint(1, 30), rng.randint(1, 7))):
+            _warm_matches_scratch(g, lam, roots)
+            _warm_matches_scratch(g, lam, [None])
+    assert two_cycles >= 20
+
+
+def test_warm_cuts_match_scratch_gnp():
+    rng = random.Random(5)
+    for i in range(2):
+        g = sample_undirected(32, 0.5, 7, i)
+        active = _active_vertices(_check_input(g))
+        roots = list(active)
+        rng.shuffle(roots)
+        roots.append(roots[0])
+        value = Fraction(PINNED_REPORTS[i][0])
+        for lam in (value, value - Fraction(1, 50)):
+            _warm_matches_scratch(g, lam, roots)
+        _warm_matches_scratch(g, Fraction(PINNED_REPORTS[i][3]), [None])
+
+
+def test_warm_cuts_zero_a_saturated_sink_arc():
+    # K5 at lam = 1/2: every max flow for root 0 saturates all other sink
+    # arcs, so moving to root 3 must first send its flow back to the source
+    g = UndirectedGraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    tokens = _check_input(g)
+    active = _active_vertices(tokens)
+    lam = Fraction(1, 2)
+    [(gain, _)] = cuts_from_scratch(tokens, active, lam, [0])
+    assert gain == 2 * len(tokens) - 1 * (len(active) - 1)  # flow = total sink capacity
+    _warm_matches_scratch(g, lam, [0, 3, 3, 1, 0, None, 4])
+
+
+def test_one_network_per_dinkelbach_round(monkeypatch):
+    counts = {"networks": 0, "rounds": 0}
+    build, cuts = density._build_network, density._cuts
+
+    def counting_build(*args):
+        counts["networks"] += 1
+        return build(*args)
+
+    def counting_cuts(*args, **kwargs):
+        counts["rounds"] += 1
+        return cuts(*args, **kwargs)
+
+    monkeypatch.setattr(density, "_build_network", counting_build)
+    monkeypatch.setattr(density, "_cuts", counting_cuts)
+    fractional_arboricity(sample_undirected(32, 0.5, 7, 0))
+    assert counts["rounds"] >= 2
+    assert counts["networks"] == counts["rounds"]
 
 
 # (arboricity value, witness bitmask, balanced, density value, witness bitmask, balanced),
