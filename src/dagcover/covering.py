@@ -1,5 +1,14 @@
 """H-copy enumeration and permutation covering numbers.
 
+Copies are listed by a join (`_join`), the generic-join view of
+subgraph listing: a matrix of partial embeddings, one int32 column per
+pattern vertex in `_pattern_order`, grows one column at a time from the
+host's CSR rows (`Digraph.index`), and the other adjacencies are looked
+up in its sorted edge keys.  Rows come in blocks of bounded size,
+finished depth first, in the lexicographic order of a backtracking
+search trying the lowest host vertex first; `tests/oracles._embed` is
+that search, kept as the oracle.
+
 A permutation covers a copy when all of the copy's edges run forward.
 The whole module leans on one fact: a single permutation can cover a
 family of copies if and only if the union of their edge sets is acyclic
@@ -37,11 +46,14 @@ but reach no pair in opposite directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .digraph import (
     Digraph,
     Edge,
+    EdgeIndex,
     Permutation,
     forward_count,
     is_dag,
@@ -58,7 +70,7 @@ MAX_PATTERN_VERTICES = 10
 MAX_EXACT_COPIES = 512
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Copy:
     """One H-copy, identified by its edge set (automorphic re-embeddings collapse)."""
 
@@ -66,7 +78,7 @@ class Copy:
     edges: frozenset[Edge]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CopySet:
     host: Digraph
     pattern: Digraph
@@ -157,98 +169,170 @@ def _check_pattern(h: Digraph) -> None:
         raise InvalidInputError("pattern must not have isolated vertices")
 
 
-def _embed(
+_JOIN_BLOCK = 1 << 15  # candidate rows per extension step: bounds the join's memory
+
+
+def _extend(step: tuple, cols: list[np.ndarray], index: EdgeIndex, n: int) -> Iterator[list[np.ndarray]]:
+    """The partial embeddings `cols` extended by one column, chunk by chunk."""
+    ok, links, apart = step
+    if not cols:
+        first = np.flatnonzero(ok).astype(np.int32)
+        if len(first):
+            yield [first]
+        return
+    rows = len(cols[0])
+    if links:
+        c, tail = links[0]
+        ptr, nbr, deg = ((index.in_ptr, index.in_idx, index.in_deg) if tail
+                         else (index.out_ptr, index.out_idx, index.out_deg))
+        starts = ptr[cols[c]]
+        lens = deg[cols[c]]
+    else:
+        nbr = np.flatnonzero(ok).astype(np.int32)  # w has no mapped neighbour, so ok is set
+        starts = np.zeros(rows, dtype=np.int64)
+        lens = np.full(rows, len(nbr), dtype=np.int64)
+    ends = np.cumsum(lens, dtype=np.int64)
+    firsts = ends - lens
+    shift = starts - firsts  # candidate j of the step is nbr[j + shift[row]]
+    # chunks of the rows whose candidates start in one _JOIN_BLOCK window
+    cuts = [0, rows]
+    if ends[-1] > _JOIN_BLOCK:
+        cuts[1:1] = (np.flatnonzero(np.diff(firsts // _JOIN_BLOCK)) + 1).tolist()
+    keys = index.keys
+    for lo, hi in zip(cuts, cuts[1:]):
+        span = lens[lo:hi]
+        rep = np.repeat(np.arange(lo, hi), span)
+        cand = nbr[np.repeat(shift[lo:hi], span) + np.arange(firsts[lo], ends[hi - 1])]
+        keep = None if ok is None else ok[cand]
+        if len(links) > 1:
+            wide = cand.astype(np.int64)
+        for c, tail in links[1:]:
+            other = cols[c][rep].astype(np.int64)
+            q = wide * n + other if tail else other * n + wide
+            hit = keys.take(np.searchsorted(keys, q), mode="clip") == q
+            keep = hit if keep is None else keep & hit
+        for c in apart:
+            differ = cand != cols[c][rep]
+            keep = differ if keep is None else keep & differ
+        if keep is not None:
+            rep, cand = rep[keep], cand[keep]
+        if len(rep):
+            yield [col[rep] for col in cols] + [cand]
+
+
+def _join(
     g: Digraph,
     h: Digraph,
-    cap: Optional[int],
+    order: Sequence[int],
     allowed: Optional[Sequence[Optional[frozenset[int]]]] = None,
-    first_only: bool = False,
-) -> tuple[list[Copy], bool]:
-    """Backtracking embedding search; copies deduplicated by edge set.
+) -> Iterator[list[np.ndarray]]:
+    """Every embedding of h in g, in blocks of int32 columns.
 
-    `allowed` optionally restricts the image of each pattern vertex.
-    Deterministic: candidates are tried in increasing host-vertex order.
+    Column d of a block holds the images of pattern vertex order[d].
+    Each step extends the partial embeddings by one column: candidates
+    come from the CSR slice of the first mapped neighbour (every host
+    vertex when there is none), the other adjacencies are looked up in
+    the sorted edge keys, and the degree filter, `allowed` and
+    injectivity are column compares.  Slices are sorted, so the rows of
+    the blocks, read in turn, come in lexicographic order of their
+    columns, the order of a backtracking search trying candidates
+    lowest first.  Each step extends its rows in chunks of at most
+    _JOIN_BLOCK candidates plus one row's, and a stack finishes each
+    chunk depth first, so the join holds O(h^2 * (_JOIN_BLOCK + n))
+    integers whatever the number of partial embeddings, and a caller
+    that stops reading stops the search.
     """
-    order = _pattern_order(h)
-    h_out = h.out_sets
-    h_in = h.in_sets
-    g_outdeg = {v: len(g.out_adj[v]) for v in range(g.n)}
-    g_indeg = {v: len(g.in_adj[v]) for v in range(g.n)}
-    need_out = [len(h.out_adj[v]) for v in range(h.n)]
-    need_in = [len(h.in_adj[v]) for v in range(h.n)]
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-    seen_edge_sets: set[frozenset[Edge]] = set()
-    found: list[Copy] = []
-    truncated = False
-    h_edges = h.sorted_edges
-
-    def candidates(w: int) -> Iterable[int]:
-        sets = []
-        for u in h_out[w]:
-            if u in mapping:
-                sets.append(g.in_sets[mapping[u]])
-        for u in h_in[w]:
-            if u in mapping:
-                sets.append(g.out_sets[mapping[u]])
+    index = g.index
+    at = {w: d for d, w in enumerate(order)}
+    steps = []
+    for d, w in enumerate(order):
+        # the degree filter only prunes: once every neighbour of w is
+        # mapped, the adjacency checks imply it
+        ok = None
+        if any(at[u] > d for u in h.out_adj[w] + h.in_adj[w]):
+            ok = (index.out_deg >= len(h.out_adj[w])) & (index.in_deg >= len(h.in_adj[w]))
         if allowed is not None and allowed[w] is not None:
-            sets.append(allowed[w])
-        if not sets:
-            return range(g.n)
-        base = min(sets, key=len)
-        rest = [s for s in sets if s is not base]
-        return sorted(base.intersection(*rest)) if rest else sorted(base)
+            inside = np.zeros(g.n, dtype=bool)
+            inside[[v for v in allowed[w] if 0 <= v < g.n]] = True
+            ok = inside if ok is None else ok & inside
+        # mapped neighbours: (column, True when w is the edge's tail)
+        links = sorted([(at[u], True) for u in h.out_adj[w] if at[u] < d]
+                       + [(at[u], False) for u in h.in_adj[w] if at[u] < d])
+        # a candidate differs from its neighbours' images: the host has no loops
+        apart = [c for c in range(d) if c not in {c for c, _ in links}]
+        steps.append((ok, links, apart))
+    stack = [_extend(steps[0], [], index, g.n)]
+    while stack:
+        cols = next(stack[-1], None)
+        if cols is None:
+            stack.pop()
+        elif len(cols) == len(order):
+            yield cols
+        else:
+            stack.append(_extend(steps[len(cols)], cols, index, g.n))
 
-    def rec(depth: int) -> bool:
-        nonlocal truncated
-        if depth == h.n:
-            edges = frozenset((mapping[u], mapping[v]) for u, v in h_edges)
-            if edges not in seen_edge_sets:
-                if cap is not None and len(found) >= cap:
-                    truncated = True
-                    return True
-                seen_edge_sets.add(edges)
-                found.append(Copy(vertices=frozenset(mapping.values()), edges=edges))
-                if first_only:
-                    return True
-            return False
-        w = order[depth]
-        for cand in candidates(w):
-            if cand in used:
-                continue
-            if g_outdeg[cand] < need_out[w] or g_indeg[cand] < need_in[w]:
-                continue
-            mapping[w] = cand
-            used.add(cand)
-            if rec(depth + 1):
-                del mapping[w]
-                used.discard(cand)
-                return True
-            del mapping[w]
-            used.discard(cand)
-        return False
 
-    rec(0)
-    # rec holds itself through its closure; dropping the name ends that
-    # cycle, so the search state and the copies are freed by reference
-    # counting, not whenever the cyclic collector next runs
-    del rec
-    found.sort(key=lambda c: tuple(sorted(c.edges)))
-    return found, truncated
+def _first_copies(keys: np.ndarray, cap: int) -> tuple[np.ndarray, bool]:
+    """The first `cap` distinct rows of `keys`, sorted, and whether another exists.
+
+    A stable lexsort puts equal rows together in their order, so the
+    first of each run is the row's first occurrence.
+    """
+    at = np.lexsort(keys.T[::-1])
+    keys = keys[at]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    keys, at = keys[first], at[first]
+    if len(keys) <= cap:
+        return keys, False
+    return keys[at < np.partition(at, cap)[cap]], True
 
 
 def enumerate_copies(g: Digraph, h: Digraph, cap: int = DEFAULT_COPY_CAP) -> CopySet:
     """All subgraphs of g isomorphic to h, deduplicated by edge set.
 
-    If more than `cap` distinct copies exist the result is truncated and
-    flagged, not an error.
+    The embeddings come from `_join` in lexicographic order, the order
+    of a backtracking search trying candidates lowest first
+    (`tests/oracles._embed` is that search, kept as the oracle).  Each
+    embedding's copy is its sorted row of edge keys u * n + v.  The rows
+    are deduplicated whenever more than max(cap, twice the copies found)
+    are held, so the search stops soon after a copy beyond the first
+    `cap` appears.  A truncated set holds the first `cap` copies in that
+    order and is flagged, not an error.  Copies come sorted by their
+    sorted edge lists.
     """
     _check_pattern(h)
     if cap < 0:
         raise InvalidInputError(f"copy cap must be >= 0, got {cap}")
-    copies, truncated = _embed(g, h, cap)
-    return CopySet(host=g, pattern=h, copies=tuple(copies), truncated=truncated)
+    order = _pattern_order(h)
+    at = {w: d for d, w in enumerate(order)}
+    ends = [(at[u], at[v]) for u, v in h.sorted_edges]
+    n = g.n
+    held = [np.empty((0, len(ends)), dtype=np.int64)]
+    rows, limit = 0, cap
+    truncated = False
+    for cols in _join(g, h, order):
+        keys = np.empty((len(cols[0]), len(ends)), dtype=np.int64)
+        for j, (a, b) in enumerate(ends):
+            np.multiply(cols[a], n, out=keys[:, j], dtype=np.int64)
+            keys[:, j] += cols[b]
+        keys.sort(axis=1)
+        held.append(keys)
+        rows += len(keys)
+        if rows > limit:
+            found, truncated = _first_copies(np.concatenate(held), cap)
+            held = [found]
+            if truncated:
+                break
+            rows, limit = len(found), max(cap, 2 * len(found))
+    if not truncated:
+        found, truncated = _first_copies(np.concatenate(held), cap)
+    tails, heads = np.divmod(found, n)
+    copies = tuple(
+        Copy(frozenset(us + vs), frozenset(zip(us, vs)))
+        for us, vs in zip(tails.tolist(), heads.tolist())
+    )
+    return CopySet(host=g, pattern=h, copies=copies, truncated=truncated)
 
 
 def union_graph(copyset: CopySet) -> Digraph:
@@ -505,9 +589,7 @@ def tau_lower_clique(
     order = [int(i) for i in substream(seed).permutation(len(cs.copies))]
     if not order:
         return 0
-    copy_edges: set[Edge] = set()
-    for c in cs.copies:
-        copy_edges |= c.edges
+    copy_edges = union_graph(cs).edges
     start = order[0]
     for i in order:
         if any((v, u) in copy_edges for u, v in cs.copies[i].edges):
@@ -895,8 +977,12 @@ def find_consistent_copy(
     for i, block in enumerate(coloring.blocks):
         for v in block:
             allowed[v] = fams[i]
-    copies, _ = _embed(g, h, cap=None, allowed=allowed, first_only=True)
-    return copies[0] if copies else None
+    order = _pattern_order(h)
+    for cols in _join(g, h, order, allowed):
+        image = {w: int(col[0]) for w, col in zip(order, cols)}
+        return Copy(vertices=frozenset(image.values()),
+                    edges=frozenset((image[u], image[v]) for u, v in h.edges))
+    return None
 
 
 def skew_witness_pipeline(

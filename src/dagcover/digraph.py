@@ -18,13 +18,51 @@ whole-graph acyclicity question: `is_dag` asks whether it finishes, and
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import InvalidInputError
 
 Edge = tuple[int, int]
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class EdgeIndex:
+    """A digraph's edges as arrays, for joins that run in numpy.
+
+    `keys` holds u * n + v for every edge (u, v), sorted, so it is the
+    edge list in lexicographic order; `out_idx[out_ptr[u]:out_ptr[u + 1]]`
+    lists u's out-neighbours in increasing order and `in_idx`, `in_ptr`
+    its in-neighbours the same way.
+    """
+
+    keys: np.ndarray      # int64
+    out_ptr: np.ndarray   # int64, n + 1 entries
+    out_idx: np.ndarray   # int32
+    in_ptr: np.ndarray
+    in_idx: np.ndarray
+    out_deg: np.ndarray   # int32
+    in_deg: np.ndarray
+
+    @classmethod
+    def build(cls, n: int, edges: Iterable[Edge]) -> "EdgeIndex":
+        pairs = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+        us, vs = pairs[:, 0], pairs[:, 1]
+        keys = np.sort(us * n + vs)
+        back = np.sort(vs * n + us)
+        out_deg = np.bincount(us, minlength=n).astype(np.int32)
+        in_deg = np.bincount(vs, minlength=n).astype(np.int32)
+        out_ptr = np.zeros(n + 1, dtype=np.int64)
+        in_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(out_deg, out=out_ptr[1:])
+        np.cumsum(in_deg, out=in_ptr[1:])
+        return cls(keys=keys, out_ptr=out_ptr, out_idx=(keys % max(n, 1)).astype(np.int32),
+                   in_ptr=in_ptr, in_idx=(back % max(n, 1)).astype(np.int32),
+                   out_deg=out_deg, in_deg=in_deg)
 
 
 @dataclass(frozen=True)
@@ -76,6 +114,11 @@ class Digraph:
         for u, v in self.sorted_edges:
             adj[v].append(u)
         return {v: tuple(ws) for v, ws in adj.items()}
+
+    @cached_property
+    def index(self) -> EdgeIndex:
+        """Sorted edge keys, out- and in-CSR arrays and degrees, built once per graph."""
+        return EdgeIndex.build(self.n, self.edges)
 
     @cached_property
     def out_sets(self) -> dict[int, frozenset[int]]:

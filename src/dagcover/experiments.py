@@ -26,7 +26,6 @@ from .covering import (
 )
 from .density import (
     UndirectedGraph,
-    densest_subset_enum,
     fractional_arboricity,
     is_totally_balanced,
 )
@@ -258,13 +257,6 @@ class CensusResult:
         }
 
 
-def _arboricity_value(g: UndirectedGraph) -> Fraction:
-    # h <= 20 fits the enumeration oracle; the flow path covers the rest
-    if g.n <= 20:
-        return densest_subset_enum(g, "arboricity").value
-    return fractional_arboricity(g).value
-
-
 def balanced_census(h: int, samples: int, seed: int) -> CensusResult:
     """Fraction of G(h, 1/2) samples that are totally balanced, plus an a(H) histogram."""
     if h < 2:
@@ -281,7 +273,7 @@ def balanced_census(h: int, samples: int, seed: int) -> CensusResult:
             edgeless += 1
             isolated += 1
             continue
-        value = _arboricity_value(g)
+        value = fractional_arboricity(g).value
         histogram[value] = histogram.get(value, 0) + 1
         if g.isolated_vertices():
             isolated += 1

@@ -4,8 +4,9 @@ Everything here recomputes results along a different route than the
 package: permutation covers are minimized by exhaustive search over all
 n! coverage sets, coloring skews by explicitly generating every
 respecting permutation, graph catalogs by raw bitmask enumeration,
-copy conflicts by a Kahn peel of each pair's edge union, and per-root
-min cuts on a fresh network with a flow from zero.
+copy conflicts by a Kahn peel of each pair's edge union, per-root min
+cuts on a fresh network with a flow from zero, and H-copies by a
+backtracking search over Python sets.
 """
 
 from __future__ import annotations
@@ -14,9 +15,91 @@ import itertools
 import random
 from fractions import Fraction
 
-from dagcover.covering import enumerate_copies
+from typing import Iterable, Optional, Sequence
+
+from dagcover.covering import Copy, _pattern_order, enumerate_copies
 from dagcover.density import _build_network
-from dagcover.digraph import Digraph, Permutation, forward_count, is_dag
+from dagcover.digraph import Digraph, Edge, Permutation, forward_count, is_dag
+
+
+def _embed(
+    g: Digraph,
+    h: Digraph,
+    cap: Optional[int],
+    allowed: Optional[Sequence[Optional[frozenset[int]]]] = None,
+    first_only: bool = False,
+) -> tuple[list[Copy], bool]:
+    """Backtracking embedding search; copies deduplicated by edge set.
+
+    `allowed` optionally restricts the image of each pattern vertex.
+    Candidates are tried in increasing host-vertex order, so the first
+    `cap` copies are those of the lexicographically first embeddings;
+    `truncated` is set iff another copy exists.  Copies are returned
+    sorted by their sorted edge lists.
+    """
+    order = _pattern_order(h)
+    h_out = h.out_sets
+    h_in = h.in_sets
+    g_outdeg = {v: len(g.out_adj[v]) for v in range(g.n)}
+    g_indeg = {v: len(g.in_adj[v]) for v in range(g.n)}
+    need_out = [len(h.out_adj[v]) for v in range(h.n)]
+    need_in = [len(h.in_adj[v]) for v in range(h.n)]
+
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+    seen_edge_sets: set[frozenset[Edge]] = set()
+    found: list[Copy] = []
+    truncated = False
+    h_edges = h.sorted_edges
+
+    def candidates(w: int) -> Iterable[int]:
+        sets = []
+        for u in h_out[w]:
+            if u in mapping:
+                sets.append(g.in_sets[mapping[u]])
+        for u in h_in[w]:
+            if u in mapping:
+                sets.append(g.out_sets[mapping[u]])
+        if allowed is not None and allowed[w] is not None:
+            sets.append(allowed[w])
+        if not sets:
+            return range(g.n)
+        base = min(sets, key=len)
+        rest = [s for s in sets if s is not base]
+        return sorted(base.intersection(*rest)) if rest else sorted(base)
+
+    def rec(depth: int) -> bool:
+        nonlocal truncated
+        if depth == h.n:
+            edges = frozenset((mapping[u], mapping[v]) for u, v in h_edges)
+            if edges not in seen_edge_sets:
+                if cap is not None and len(found) >= cap:
+                    truncated = True
+                    return True
+                seen_edge_sets.add(edges)
+                found.append(Copy(vertices=frozenset(mapping.values()), edges=edges))
+                if first_only:
+                    return True
+            return False
+        w = order[depth]
+        for cand in candidates(w):
+            if cand in used:
+                continue
+            if g_outdeg[cand] < need_out[w] or g_indeg[cand] < need_in[w]:
+                continue
+            mapping[w] = cand
+            used.add(cand)
+            stop = rec(depth + 1)
+            del mapping[w]
+            used.discard(cand)
+            if stop:
+                return True
+        return False
+
+    rec(0)
+    del rec
+    found.sort(key=lambda c: tuple(sorted(c.edges)))
+    return found, truncated
 
 
 def complete_digraph(n: int) -> Digraph:

@@ -1,11 +1,13 @@
 import hashlib
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
+from dagcover import covering
 from dagcover.covering import (
     Copy,
     CoverSolution,
@@ -35,11 +37,11 @@ from dagcover.digraph import (
     make_transitive_tournament,
 )
 from dagcover.errors import InfeasibleSizeError, InvalidInputError, SizeLimitError
-from dagcover.experiments import sample_digraph
+from dagcover.experiments import figure1_graph, sample_digraph
 from dagcover.rng import substream
 from dagcover.skewness import Partition
 
-from oracles import complete_digraph, conflict_masks_dense, perm_cover_minimum, random_digraph
+from oracles import _embed, complete_digraph, conflict_masks_dense, perm_cover_minimum, random_digraph
 
 T3 = make_transitive_tournament(3)
 P3 = make_directed_path(2)
@@ -82,6 +84,78 @@ def test_enumerate_cap_truncates():
     assert cs.truncated and len(cs) == 5
     full = enumerate_copies(complete_digraph(4), T3)
     assert not full.truncated
+
+
+JOIN_PATTERNS = {
+    "T3": T3,
+    "T4": make_transitive_tournament(4),
+    "T5": make_transitive_tournament(5),
+    "P2": P3,
+    "P3": make_directed_path(3),
+    "figure1": figure1_graph(),
+    "out-star": make_rooted_star(4),
+    "in-star": make_rooted_star(4, source=False),
+    "two edges": Digraph(4, [(0, 1), (2, 3)]),
+}
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_join_matches_backtracking_oracle(monkeypatch, block):
+    # block 1 and 7 split every step of the join into many chunks
+    if block is not None:
+        monkeypatch.setattr(covering, "_JOIN_BLOCK", block)
+    rng = random.Random(11 if block is None else block)
+    seen = Counter()
+    trials = 30 if block is None else 10
+    for _ in range(trials):
+        n = rng.randrange(2, 21)
+        g = random_digraph(rng, n, rng.choice([0.1, 0.2, 0.4 if n < 12 else 0.25]))
+        seen["2-cycles"] += any((v, u) in g.edges for u, v in g.edges)
+        for name, h in JOIN_PATTERNS.items():
+            for cap in (0, 1, 5, 50, None):
+                cs = enumerate_copies(g, h) if cap is None else enumerate_copies(g, h, cap)
+                want, truncated = _embed(g, h, cap)
+                assert list(cs.copies) == want, (g, name, cap)
+                assert cs.truncated == truncated, (g, name, cap)
+                seen["truncated"] += truncated
+            # random allowed sets: the first embedding is the search's first
+            blocks = [[v] for v in range(h.n)]
+            sets = list(range(g.n))
+            rng.shuffle(sets)
+            sets = [set(sets[i::h.n]) for i in range(h.n)]
+            allowed = [frozenset(sets[i]) for i in range(h.n)]
+            want, _ = _embed(g, h, None, allowed, first_only=True)
+            got = find_consistent_copy(g, h, Partition(blocks), sets)
+            assert got == (want[0] if want else None), (g, name, sets)
+            seen["witness"] += got is not None
+    assert seen["2-cycles"] >= trials // 2 and seen["truncated"] > 100 and seen["witness"] > 10
+
+
+def test_join_keys_do_not_overflow():
+    # u * n + v passes 2**31 once n > 46,341
+    rng = random.Random(5)
+    n = 60_000
+    edges = set()
+    for _ in range(100):
+        a, b, c = rng.sample(range(n), 3)
+        edges |= {(a, b), (b, c), (a, c), (c, a)}
+    g = Digraph(n, edges)
+    for h in (T3, P3):
+        want, _ = _embed(g, h, None)
+        assert list(enumerate_copies(g, h).copies) == want and want
+
+
+def test_join_memory_is_blocked():
+    # 40 * 39 * ... * 31 embeddings of a 9-edge path: an unblocked join
+    # would hold about 10**13 rows; the cap stops the blocked one early
+    tracemalloc.start()
+    try:
+        cs = enumerate_copies(complete_digraph(40), make_directed_path(9), cap=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cs) == 1000 and cs.truncated
+    assert peak < 64 * 2**20, peak
 
 
 def test_enumerate_rejects_bad_patterns():
@@ -547,7 +621,8 @@ def test_result_records_are_slotted_and_pickle():
     # frozen slotted dataclasses; pickling them had bugs on early Python 3.10
     res = tau_exact(family_draw("T3", 2), T3, budget=100_000)
     perm = res.solution.permutations[0]
-    for obj in (perm, res.solution, res):
+    copy = enumerate_copies(family_draw("T3", 2), T3).copies[0]
+    for obj in (perm, res.solution, res, copy):
         assert not hasattr(obj, "__dict__")
         assert pickle.loads(pickle.dumps(obj)) == obj
     assert isinstance(res, TauExactResult) and isinstance(res.solution, CoverSolution)
