@@ -29,7 +29,6 @@ from .covering import (
 from .density import (
     DensityReport,
     UndirectedGraph,
-    densest_subset_enum,
     fractional_arboricity,
     is_totally_balanced,
     maximal_density,

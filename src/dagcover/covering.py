@@ -28,6 +28,10 @@ copy-family question: the greedy cover and the exact search build their
 groups with it, the clique lower bound keeps one group per member,
 `compatible` grows one group, and the exact search's conflict table
 asks a one-copy group about the pairs its lookup cannot decide (below).
+A group of _SNAPSHOT_EDGES or more edges also keeps a reachability
+snapshot, taken again each time the union grows by a quarter: a path
+it saw survives every later add, so it rejects copies without a
+search, and a remove drops it.
 
 Two copies conflict when their union has a cycle.  Each copy is
 acyclic, so a simple cycle in the union uses edges of both: it switches
@@ -370,6 +374,9 @@ def tau_le_one(g: Digraph, h: Digraph, cap: int = DEFAULT_COPY_CAP) -> TauOneRes
 
 # --- a group of copies with an acyclic union ---------------------------------
 
+_SNAPSHOT_EDGES = 64  # a group this large keeps a reachability snapshot
+
+
 class _Group:
     """The edge union of a family of copies, acyclic, with a topological order.
 
@@ -379,6 +386,16 @@ class _Group:
     the bounded-region reordering of Pearce and Kelly: the region
     reachable from v and the region reaching u, both inside the window
     [pos(v), pos(u)], swap within their own slots.
+
+    `desc` is a reachability snapshot (the per-vertex bitsets of
+    Italiano's incremental closure, taken whole instead of kept up to
+    date): it maps each vertex of `order` to the bitset of the vertices
+    it reached over group edges when the snapshot was taken, and is
+    empty while there is none.  `add` takes it once the union holds _SNAPSHOT_EDGES
+    edges and again whenever the union has grown by a quarter since, in
+    one pass over the order reversed, at most |order| * n / 8 bytes.
+    Between removes the union only grows, so a stale snapshot still
+    holds only true paths: it may reject a copy, and never accepts one.
     """
 
     def __init__(self, edges: Iterable[Edge] = ()) -> None:
@@ -391,23 +408,31 @@ class _Group:
         # edges (u, v) whose head v reaches u over group edges alone: no
         # copy holding one fits while the union only grows; remove clears it
         self.closing: set[Edge] = set()
+        self.desc: dict[int, int] = {}
+        self.snapshot_at = _SNAPSHOT_EDGES  # union size that takes the next snapshot
         self.add(edges)
 
     def can_add(self, edges: Collection[Edge]) -> bool:
         """True iff the union stays acyclic with `edges` added.
 
-        Vertices new to the group count as placed after the current
-        order.  Group edges all run forward, so the highest vertex of a
-        cycle is the tail u of a backward new edge (u, v), and the rest
-        of the cycle lies below it: a search from v over positions below
-        pos(u) finds the cycle.  It follows group edges first; when they
-        close the cycle with (u, v) alone, (u, v) goes into `closing`,
-        which refuses the next copy holding it at once.  The group and
-        every answer stay as they are.
+        An edge (u, v) whose head reached u in the snapshot closes a
+        cycle at once.  Otherwise vertices new to the group count as
+        placed after the current order.  Group edges all run forward, so
+        the highest vertex of a cycle is the tail u of a backward new
+        edge (u, v), and the rest of the cycle lies below it: a search
+        from v over positions below pos(u) finds the cycle.  It follows
+        group edges first; when they close the cycle with (u, v) alone,
+        (u, v) goes into `closing`, which refuses the next copy holding
+        it at once.  The group and every answer stay as they are.
         """
         closing = self.closing
         if closing and not closing.isdisjoint(edges):
             return False
+        desc = self.desc
+        if desc:
+            for u, v in edges:
+                if desc.get(v, 0) >> u & 1:
+                    return False
         pos = self.pos
         end = len(self.order)
         at: dict[int, int] = {}
@@ -469,6 +494,20 @@ class _Group:
             self.count[e] = 1
             self.out.setdefault(u, set()).add(v)
             self.in_.setdefault(v, set()).add(u)
+        if len(self.count) >= self.snapshot_at:
+            self._snapshot()
+
+    def _snapshot(self) -> None:
+        """Take `desc` afresh over the order reversed, which meets each edge's head first."""
+        desc: dict[int, int] = {}
+        out = self.out
+        for x in reversed(self.order):
+            reach = 0
+            for y in out.get(x, ()):
+                reach |= desc[y] | 1 << y
+            desc[x] = reach
+        self.desc = desc
+        self.snapshot_at = len(self.count) * 5 // 4
 
     def _reorder(self, u: int, v: int) -> None:
         pos = self.pos
@@ -504,8 +543,11 @@ class _Group:
         """Take one copy's edges out; an edge leaves when no member holds it.
 
         Deleting edges keeps any topological order valid, so nothing
-        moves, but the path behind a `closing` edge may go, so the memo
-        is cleared.
+        moves, but the path behind a `closing` edge or a snapshot bit
+        may go, so the memo is cleared and a snapshot dropped; the next
+        one waits for the union to grow by a quarter again.  A remove
+        from a group without one leaves that rule alone, so adding and
+        removing one small copy in turn takes no snapshot.
         """
         self.closing.clear()
         for e in edges:
@@ -517,6 +559,9 @@ class _Group:
                 u, v = e
                 self.out[u].discard(v)
                 self.in_[v].discard(u)
+        if self.desc:
+            self.desc = {}
+            self.snapshot_at = len(self.count) * 5 // 4
 
 
 def compatible(copies: Iterable[Copy]) -> bool:
@@ -583,7 +628,9 @@ def tau_lower_clique(
     first shuffled copy containing an edge whose reversal also lies in
     some copy: such a copy is guaranteed a conflict partner, whereas a
     uniformly random start is usually conflict-free in sparse hosts and
-    would freeze the clique at size 1.
+    would freeze the clique at size 1.  A copy sharing fewer than two
+    vertices with a member cannot conflict with it (see the module
+    docstring), so only the others ask the member's group.
     """
     cs = copies if copies is not None else enumerate_copies(g, h, cap)
     order = [int(i) for i in substream(seed).permutation(len(cs.copies))]
@@ -595,13 +642,15 @@ def tau_lower_clique(
         if any((v, u) in copy_edges for u, v in cs.copies[i].edges):
             start = i
             break
-    clique = [_Group(cs.copies[start].edges)]
+    first = cs.copies[start]
+    clique = [(first.vertices, _Group(first.edges))]
     for i in order:
         if i == start:
             continue
-        edges = cs.copies[i].edges
-        if not any(member.can_add(edges) for member in clique):
-            clique.append(_Group(edges))
+        copy = cs.copies[i]
+        if not any(len(copy.vertices & vertices) < 2 or member.can_add(copy.edges)
+                   for vertices, member in clique):
+            clique.append((copy.vertices, _Group(copy.edges)))
     return len(clique)
 
 

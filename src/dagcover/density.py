@@ -1,19 +1,16 @@
 """Exact maximal density and fractional arboricity.
 
-Two independent routes compute the same quantities:
-
-* ``densest_subset_enum`` enumerates all vertex subsets with bitmask
-  DP (the oracle, n <= 20);
-* ``fractional_arboricity`` / ``maximal_density`` run Dinkelbach
-  iteration (Dinkelbach 1967) on Goldberg's min-cut (one cut per root
-  for arboricity), entirely in exact arithmetic: each round's best cut
-  gives the next ratio, and the last round's maximal cuts the witness.
-  A round builds one network; each root's cut starts from the previous
-  root's maximum flow, whose network differs only in two sink arcs
-  (the warm start of parametric max flow, Gallo, Grigoriadis and
-  Tarjan 1989).  Which maximum flow is found never shows: its value is
-  unique, and so is the maximal min-cut source side (Picard and
-  Queyranne 1980).
+``fractional_arboricity`` / ``maximal_density`` run Dinkelbach
+iteration (Dinkelbach 1967) on Goldberg's min-cut (one cut per root for
+arboricity), entirely in exact arithmetic: each round's best cut gives
+the next ratio, and the last round's maximal cuts the witness.  A round
+builds one network; each root's cut starts from the previous root's
+maximum flow, whose network differs only in two sink arcs (the warm
+start of parametric max flow, Gallo, Grigoriadis and Tarjan 1989).
+Which maximum flow is found never shows: its value is unique, and so is
+the maximal min-cut source side (Picard and Queyranne 1980).  The test
+suite's subset enumeration (`tests/oracles.densest_subset_enum`) checks
+them.
 
 Both accept directed and undirected graphs; a directed 2-cycle counts
 as two edges.  Isolated vertices never appear in a witness (they only
@@ -28,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 from .digraph import Digraph
-from .errors import InvalidInputError, SizeLimitError, UndefinedParameterError
+from .errors import InvalidInputError, UndefinedParameterError
 
 
 @dataclass(frozen=True)
@@ -102,64 +99,6 @@ def _active_vertices(tokens: list[tuple[int, int]]) -> list[int]:
 
 def _count_within(tokens: list[tuple[int, int]], subset: set[int]) -> int:
     return sum(1 for u, v in tokens if u in subset and v in subset)
-
-
-# --- subset enumeration oracle -------------------------------------------
-
-def densest_subset_enum(g: Graph, kind: str = "arboricity") -> DensityReport:
-    """Brute-force maximum of e(S)/(|S|-1) (arboricity) or e(S)/|S| (density).
-
-    Exhaustive over all subsets of the non-isolated vertices via bitmask
-    DP; induced subgraphs suffice because dropping edges never raises the
-    ratio.  Limited to n <= 20 declared vertices.
-    """
-    if kind not in ("arboricity", "density"):
-        raise InvalidInputError(f"kind must be 'arboricity' or 'density', got {kind!r}")
-    if g.n > 20:
-        raise SizeLimitError(f"subset enumeration is limited to n <= 20, got {g.n}")
-    tokens = _check_input(g)
-    active = _active_vertices(tokens)
-    k = len(active)
-    index = {v: i for i, v in enumerate(active)}
-
-    # multiplicity masks: m1 = neighbours with >= 1 token, m2 = with 2 tokens
-    counts: dict[tuple[int, int], int] = {}
-    for u, v in tokens:
-        a, b = index[u], index[v]
-        key = (min(a, b), max(a, b))
-        counts[key] = counts.get(key, 0) + 1
-    m1 = [0] * k
-    m2 = [0] * k
-    for (a, b), c in counts.items():
-        m1[a] |= 1 << b
-        m1[b] |= 1 << a
-        if c == 2:
-            m2[a] |= 1 << b
-            m2[b] |= 1 << a
-
-    size = 1 << k
-    inside = [0] * size
-    min_pop = 2 if kind == "arboricity" else 1
-    best_num = -1
-    best_den = 1
-    best_mask = 0
-    for s in range(1, size):
-        low = s & -s
-        i = low.bit_length() - 1
-        rest = s ^ low
-        e = inside[rest] + (m1[i] & rest).bit_count() + (m2[i] & rest).bit_count()
-        inside[s] = e
-        pop = s.bit_count()
-        if pop < min_pop:
-            continue
-        den = pop - 1 if kind == "arboricity" else pop
-        if e * best_den > best_num * den:
-            best_num, best_den, best_mask = e, den, s
-
-    value = Fraction(best_num, best_den)
-    witness = tuple(active[i] for i in range(k) if best_mask >> i & 1)
-    whole = Fraction(len(tokens), g.n - 1 if kind == "arboricity" else g.n)
-    return DensityReport(value=value, witness=witness, totally_balanced=value == whole)
 
 
 # --- Dinkelbach min-cut route --------------------------------------------

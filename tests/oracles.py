@@ -4,9 +4,11 @@ Everything here recomputes results along a different route than the
 package: permutation covers are minimized by exhaustive search over all
 n! coverage sets, coloring skews by explicitly generating every
 respecting permutation, graph catalogs by raw bitmask enumeration,
-copy conflicts by a Kahn peel of each pair's edge union, per-root min
-cuts on a fresh network with a flow from zero, and H-copies by a
-backtracking search over Python sets.
+copy conflicts by a Kahn peel of each pair's edge union, conflict
+cliques by the same peel against every member, densest subsets by
+enumerating every vertex subset, per-root min cuts on a fresh network
+with a flow from zero, and H-copies by a backtracking search over
+Python sets.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ from fractions import Fraction
 
 from typing import Iterable, Optional, Sequence
 
-from dagcover.covering import Copy, _pattern_order, enumerate_copies
-from dagcover.density import _build_network
+from dagcover.covering import Copy, CopySet, _pattern_order, enumerate_copies, union_graph
+from dagcover.density import DensityReport, Graph, _active_vertices, _build_network, _check_input
 from dagcover.digraph import Digraph, Edge, Permutation, forward_count, is_dag
+from dagcover.errors import InvalidInputError, SizeLimitError
+from dagcover.rng import substream
 
 
 def _embed(
@@ -282,6 +286,87 @@ def conflict_masks_dense(copies) -> list[int]:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
+
+
+def clique_lower_unscreened(cs: CopySet, seed: int) -> int:
+    """`tau_lower_clique` without its shared-vertex screen.
+
+    The same seeded scan and start copy; each later copy joins when the
+    union with every member fails `is_dag`.
+    """
+    order = [int(i) for i in substream(seed).permutation(len(cs.copies))]
+    if not order:
+        return 0
+    copy_edges = union_graph(cs).edges
+    start = order[0]
+    for i in order:
+        if any((v, u) in copy_edges for u, v in cs.copies[i].edges):
+            start = i
+            break
+    clique = [cs.copies[start].edges]
+    for i in order:
+        if i == start:
+            continue
+        edges = cs.copies[i].edges
+        if not any(is_dag(Digraph(cs.host.n, member | edges)) for member in clique):
+            clique.append(edges)
+    return len(clique)
+
+
+def densest_subset_enum(g: Graph, kind: str = "arboricity") -> DensityReport:
+    """Brute-force maximum of e(S)/(|S|-1) (arboricity) or e(S)/|S| (density).
+
+    Exhaustive over all subsets of the non-isolated vertices via bitmask
+    DP; induced subgraphs suffice because dropping edges never raises the
+    ratio.  Limited to n <= 20 declared vertices.
+    """
+    if kind not in ("arboricity", "density"):
+        raise InvalidInputError(f"kind must be 'arboricity' or 'density', got {kind!r}")
+    if g.n > 20:
+        raise SizeLimitError(f"subset enumeration is limited to n <= 20, got {g.n}")
+    tokens = _check_input(g)
+    active = _active_vertices(tokens)
+    k = len(active)
+    index = {v: i for i, v in enumerate(active)}
+
+    # multiplicity masks: m1 = neighbours with >= 1 token, m2 = with 2 tokens
+    counts: dict[tuple[int, int], int] = {}
+    for u, v in tokens:
+        a, b = index[u], index[v]
+        key = (min(a, b), max(a, b))
+        counts[key] = counts.get(key, 0) + 1
+    m1 = [0] * k
+    m2 = [0] * k
+    for (a, b), c in counts.items():
+        m1[a] |= 1 << b
+        m1[b] |= 1 << a
+        if c == 2:
+            m2[a] |= 1 << b
+            m2[b] |= 1 << a
+
+    size = 1 << k
+    inside = [0] * size
+    min_pop = 2 if kind == "arboricity" else 1
+    best_num = -1
+    best_den = 1
+    best_mask = 0
+    for s in range(1, size):
+        low = s & -s
+        i = low.bit_length() - 1
+        rest = s ^ low
+        e = inside[rest] + (m1[i] & rest).bit_count() + (m2[i] & rest).bit_count()
+        inside[s] = e
+        pop = s.bit_count()
+        if pop < min_pop:
+            continue
+        den = pop - 1 if kind == "arboricity" else pop
+        if e * best_den > best_num * den:
+            best_num, best_den, best_mask = e, den, s
+
+    value = Fraction(best_num, best_den)
+    witness = tuple(active[i] for i in range(k) if best_mask >> i & 1)
+    whole = Fraction(len(tokens), g.n - 1 if kind == "arboricity" else g.n)
+    return DensityReport(value=value, witness=witness, totally_balanced=value == whole)
 
 
 def cuts_from_scratch(tokens, active, lam: Fraction, roots) -> list[tuple[int, set[int]]]:

@@ -22,7 +22,7 @@ from dagcover.covering import (
     union_graph,
     verify_consistent,
 )
-from dagcover.density import densest_subset_enum, fractional_arboricity
+from dagcover.density import fractional_arboricity
 from dagcover.digraph import (
     Permutation,
     is_dag,
@@ -38,6 +38,7 @@ from dagcover.skewness import skewness_exact
 from oracles import (
     complete_digraph,
     dag_catalog,
+    densest_subset_enum,
     perm_cover_minimum,
     random_digraph,
     random_tree,

@@ -169,6 +169,22 @@ def test_sweep_cli(capsys, tmp_path):
     assert code2 == code and out2 == out
 
 
+
+def test_sweep_tau_stats_pinned(capsys, tmp_path):
+    # runs enumeration, the clique bound and the greedy cover on hosts
+    # whose groups keep reachability snapshots; recorded before they did
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"pattern": "Th 3", "a_star": 2, "n_values": [100, 300],
+                                  "samples": 2, "seed": 606, "mode": "tau_stats"}))
+    code, out, _ = run_cli(capsys, "sweep", str(config))
+    assert code == 0
+    assert out == (
+        "n,p,samples,frac_gh_dag,mean_copies,tau_greedy_mean,tau_lower_mean,pipeline_success,censored\n"
+        "100,0.1,2,,971.0,5.5,2.0,,0\n"
+        "300,0.057735026918962574,2,,5148.5,7.0,2.0,,0\n"
+    )
+
+
 def test_census_cli(capsys):
     code, out, _ = run_cli(capsys, "census", "--h", "3", "--samples", "50", "--seed", "2", "--format", "json")
     assert code == 0

@@ -41,7 +41,14 @@ from dagcover.experiments import figure1_graph, sample_digraph
 from dagcover.rng import substream
 from dagcover.skewness import Partition
 
-from oracles import _embed, complete_digraph, conflict_masks_dense, perm_cover_minimum, random_digraph
+from oracles import (
+    _embed,
+    clique_lower_unscreened,
+    complete_digraph,
+    conflict_masks_dense,
+    perm_cover_minimum,
+    random_digraph,
+)
 
 T3 = make_transitive_tournament(3)
 P3 = make_directed_path(2)
@@ -295,6 +302,86 @@ def test_group_closing_memo_matches_fresh_groups():
     assert hits and clears
 
 
+@pytest.mark.parametrize("snapshot_edges", [0, 1, covering._SNAPSHOT_EDGES])
+def test_group_snapshot_matches_fresh_groups(monkeypatch, snapshot_edges):
+    # a snapshot may only reject: after every add and remove, can_add
+    # must match a group built afresh from the current members and
+    # is_dag on the union, and every snapshot bit must be a group path
+    monkeypatch.setattr(covering, "_SNAPSHOT_EDGES", snapshot_edges)
+    rng = random.Random(41)
+    snapshots = 0
+    for _ in range(10):
+        g = random_digraph(rng, 8, 0.5)
+        copies = list(enumerate_copies(g, T3).copies + enumerate_copies(g, P3).copies)
+        group = _Group()
+        members: list = []
+        for _ in range(40):
+            if members and rng.random() < 0.3:
+                group.remove(members.pop(rng.randrange(len(members))).edges)
+            else:
+                c = rng.choice(copies)
+                if group.can_add(c.edges):
+                    group.add(c.edges)
+                    members.append(c)
+            snapshots += bool(group.desc)
+            fresh = _Group()
+            for m in members:
+                fresh.add(m.edges)
+            union = set().union(*(m.edges for m in members))
+            for x, reach in group.desc.items():
+                for y in covering._bits(reach):
+                    assert not is_dag(Digraph(8, union | {(y, x)})), (x, y)
+            for c in copies:
+                got = group.can_add(c.edges)
+                assert got == fresh.can_add(c.edges) == is_dag(Digraph(8, union | c.edges)), c
+    # n = 8 groups hold at most 56 edges, so only lowered thresholds take one
+    assert (snapshots > 0) == (snapshot_edges < 56)
+
+
+def test_group_snapshot_rule(monkeypatch):
+    taken = []
+    take = _Group._snapshot
+
+    def counted(self):
+        taken.append(len(self.count))
+        take(self)
+
+    monkeypatch.setattr(_Group, "_snapshot", counted)
+    # a 101-vertex path, one edge at a time: snapshots at 64 edges, then
+    # each time the union has grown by a quarter
+    group = _Group()
+    for i in range(100):
+        group.add({(i, i + 1)})
+    assert taken == [64, 80, 100]
+    assert group.desc[0] == sum(1 << y for y in range(1, 101))
+
+    # a rejection the snapshot sees runs no search
+    searched = []
+
+    class Spy(dict):
+        def get(self, key, default=None):
+            searched.append(key)
+            return super().get(key, default)
+
+    group.out = Spy(group.out)
+    assert not group.can_add({(100, 0)})
+    assert searched == []
+
+    # add and remove of one copy in turn, as the exact search does, takes
+    # no snapshot: the first remove drops it and re-arms the growth rule
+    taken.clear()
+    for _ in range(20):
+        group.add({(100, 101), (101, 102)})
+        group.remove({(100, 101), (101, 102)})
+        assert not group.desc
+    assert not group.can_add({(100, 0)})
+    assert group.can_add({(101, 0)})
+    assert taken == []
+    # the exact search's n = 8 groups stay below the threshold
+    assert tau_exact(family_draw("T3", 3), T3, budget=2000).nodes > 0
+    assert taken == []
+
+
 def test_tau_greedy():
     sol = tau_greedy(complete_digraph(3), T3, seed=1)
     assert sol.size >= 2
@@ -393,6 +480,30 @@ def test_seeded_covers_pinned():
     assert [tau_lower_clique(larger, T3, seed, copies=cs) for seed in range(8)] == [
         2, 2, 2, 3, 3, 4, 2, 3
     ]
+
+
+def test_greedy_sweep_host_pinned():
+    # a host of the sweep_tau regime, whose groups pass _SNAPSHOT_EDGES;
+    # recorded before groups kept a reachability snapshot
+    g = sample_digraph(300, 300**-0.5, 606, 0)
+    sol = tau_greedy(g, T3, seed=1)
+    assert (len(sol.assignment), sol.size, solution_digest(sol)) == (5267, 7, "8603873b66050156")
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [T3, P3, make_directed_path(3), figure1_graph(), Digraph(4, [(0, 1), (2, 3)])],
+    ids=["T3", "P2", "P3", "figure1", "two_edges"],
+)
+def test_clique_screen_matches_unscreened_oracle(pattern):
+    # the screen skips members sharing fewer than two vertices with a
+    # copy; the two-edge pattern's copies share 0 to 4
+    rng = random.Random(f"clique:{pattern.sorted_edges}")
+    for _ in range(4):
+        g = random_digraph(rng, rng.randint(6, 14), 0.3)
+        cs = enumerate_copies(g, pattern)
+        for seed in range(8):
+            assert tau_lower_clique(g, pattern, seed, copies=cs) == clique_lower_unscreened(cs, seed)
 
 
 def test_conflict_masks_match_dense_oracle():

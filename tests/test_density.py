@@ -5,7 +5,6 @@ import pytest
 
 from dagcover.density import (
     UndirectedGraph,
-    densest_subset_enum,
     fractional_arboricity,
     is_totally_balanced,
     maximal_density,
@@ -20,7 +19,7 @@ from dagcover.errors import (
 )
 from dagcover.experiments import figure1_graph, sample_undirected
 
-from oracles import cuts_from_scratch, random_digraph, random_tree
+from oracles import cuts_from_scratch, densest_subset_enum, random_digraph, random_tree
 
 
 def test_tournament_arboricity_is_half_h():

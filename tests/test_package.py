@@ -32,7 +32,6 @@ PUBLIC_NAMES = [
     "coloring_skew",
     "compatible",
     "consistent_sets",
-    "densest_subset_enum",
     "enumerate_copies",
     "figure1_graph",
     "find_consistent_copy",
