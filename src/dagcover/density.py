@@ -1,16 +1,19 @@
 """Exact maximal density and fractional arboricity.
 
 ``fractional_arboricity`` / ``maximal_density`` run Dinkelbach
-iteration (Dinkelbach 1967) on Goldberg's min-cut (one cut per root for
-arboricity), entirely in exact arithmetic: each round's best cut gives
-the next ratio, and the last round's maximal cuts the witness.  A round
-builds one network; each root's cut starts from the previous root's
-maximum flow, whose network differs only in two sink arcs (the warm
-start of parametric max flow, Gallo, Grigoriadis and Tarjan 1989).
-Which maximum flow is found never shows: its value is unique, and so is
-the maximal min-cut source side (Picard and Queyranne 1980).  The test
-suite's subset enumeration (`tests/oracles.densest_subset_enum`) checks
-them.
+iteration (Dinkelbach 1967) on min cuts in Goldberg's vertex network
+(Goldberg 1984; one cut per root for arboricity), entirely in exact
+arithmetic: each round's best cut gives the next ratio, and the last
+round's maximal cuts the witness.  The network has a node per vertex,
+not per edge, and its min cut at lam = p/q is 2(qm - gain) (see `_cuts`).
+A round builds one network; each root's cut starts from the previous
+root's maximum flow, once two sink arcs change and the new root's sink
+flow goes back to the source (the warm start of parametric max flow,
+Gallo, Grigoriadis and Tarjan 1989).  Which maximum flow is found never
+shows: its value is unique, and so is the maximal min-cut source side
+(Picard and Queyranne 1980).  The test suite checks them against a
+fresh node-per-edge network per root and against subset enumeration
+(`tests/oracles.py`).
 
 Both accept directed and undirected graphs; a directed 2-cycle counts
 as two edges.  Isolated vertices never appear in a witness (they only
@@ -20,6 +23,7 @@ vertices; the whole-graph balance ratio m/(n-1) uses the declared n.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -112,13 +116,14 @@ class _Dinic:
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add(self, u: int, v: int, cap: int) -> None:
+    def add(self, u: int, v: int, cap: int, rcap: int = 0) -> None:
+        """Arc u -> v of capacity cap, paired with v -> u of capacity rcap."""
         self.adj[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(cap)
         self.adj[v].append(len(self.to))
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(rcap)
 
     def _levels(self, s: int, t: int) -> list[int]:
         """BFS levels in the residual graph, up to the moment t is labelled.
@@ -204,33 +209,6 @@ class _Dinic:
         return {v for v in range(self.n) if not reach_t[v]}
 
 
-def _build_network(
-    tokens: list[tuple[int, int]],
-    active: list[int],
-    p: int,
-    q: int,
-    root: int | None,
-) -> tuple[_Dinic, int]:
-    """Source -> tokens (cap q) -> endpoints (inf) -> sink (cap p; 0 at root).
-
-    Token i's source arc is arc 6i; vertex active[j]'s sink arc is arc
-    6 * len(tokens) + 2j.
-    """
-    index = {v: i for i, v in enumerate(active)}
-    t_count = len(tokens)
-    n_nodes = 2 + t_count + len(active)
-    sink = n_nodes - 1
-    net = _Dinic(n_nodes)
-    inf = q * t_count + 1
-    for i, (u, v) in enumerate(tokens):
-        net.add(0, 1 + i, q)
-        net.add(1 + i, 1 + t_count + index[u], inf)
-        net.add(1 + i, 1 + t_count + index[v], inf)
-    for v in active:
-        net.add(1 + t_count + index[v], sink, 0 if v == root else p)
-    return net, sink
-
-
 def _cuts(
     tokens: list[tuple[int, int]],
     active: list[int],
@@ -238,7 +216,7 @@ def _cuts(
     roots: Iterable[int | None],
     sides: bool = True,
 ) -> Iterator[tuple[int, set[int] | None]]:
-    """Per root, the gain q*m - maxflow at lam = p/q and the maximal source side.
+    """Per root, the gain q*m - maxflow/2 at lam = p/q and the maximal source side.
 
     The gain is q * max over S of [e(S) - lam*|S|] (root None, density)
     or of [e(S) - lam*(|S|-1)] over S containing the root (arboricity:
@@ -248,49 +226,66 @@ def _cuts(
     that read only gains).  Yielded one root at a time, so a caller
     that only needs a positive gain stops at the first.
 
+    Goldberg's vertex network: source -> v (q*deg(v), counting tokens),
+    v -> sink (2p; 0 at the root), and u <-> w (q*c each way, c the
+    pair's token count).  A cut with source side S costs
+    q*sum(deg(S')) + q*c(S, S') + 2p*|S - {root}| (S' the rest), that is
+    2qm - 2(q*e(S) - p*|S - {root}|), twice the cut of the same S in a
+    network with a node per edge (tests/oracles._build_network), so the
+    gain halves the flow.
+
     One network serves every root.  Moving to the next root, the
-    previous root's sink arc gets capacity p back (it carries no flow,
-    so the flow stays feasible), and the new root's flow f returns to
-    the source along source -> token -> root before its sink arc drops
-    to 0; max_flow then augments from there.  The answers do not depend
-    on which maximum flow is found: its value is unique, and so is the
-    set of nodes that reach the sink in its residual graph (Picard and
-    Queyranne 1980), whose complement is the maximal source side.
+    previous root's sink arc gets 2p back (it carries no flow, so the
+    flow stays feasible) and the new root's sink arc drops to 0.  The f
+    units it carried are now an excess at the root, which always has a
+    residual path back to the source; a spare node with one arc of
+    capacity f into the root sends exactly f back, and max_flow then
+    augments from there.  The answers do not depend on which maximum
+    flow is found: its value is unique, and so is the set of nodes that
+    reach the sink in its residual graph (Picard and Queyranne 1980),
+    whose complement is the maximal source side.
     """
     p, q = lam.numerator, lam.denominator
-    t_count = len(tokens)
-    net, sink = _build_network(tokens, active, p, q, None)
-    to, cap, adj = net.to, net.cap, net.adj
+    k = len(active)
     index = {v: i for i, v in enumerate(active)}
+    deg = [0] * k
+    pairs: Counter[tuple[int, int]] = Counter()
+    for u, v in tokens:
+        a, b = index[u], index[v]
+        deg[a] += 1
+        deg[b] += 1
+        pairs[min(a, b), max(a, b)] += 1
+    sink, spare = k + 1, k + 2
+    net = _Dinic(k + 3)
+    for j in range(k):
+        net.add(0, 1 + j, q * deg[j])  # arc 4j
+        net.add(1 + j, sink, 2 * p)  # arc 4j + 2
+    for (a, b), c in pairs.items():
+        net.add(1 + a, 1 + b, q * c, q * c)
+    back = len(net.to)
+    net.add(spare, spare, 0)  # re-aimed at each root; only the spare's list holds it
+    to, cap = net.to, net.cap
+    qm = q * len(tokens)
     flow = 0
     zeroed = None  # sink arc of the previous root
     for root in roots:
         if zeroed is not None:
-            cap[zeroed] = p
+            cap[zeroed] = 2 * p
             zeroed = None
         if root is not None:
             j = index[root]
-            zeroed = 6 * t_count + 2 * j
+            zeroed = 4 * j + 2
             f = cap[zeroed ^ 1]
-            flow -= f
-            # the f units arrive on token -> root arcs, whose reverses come
-            # before the sink arc in the root's list
-            for a in adj[1 + t_count + j]:
-                if not f:
-                    break
-                back = min(f, cap[a])
-                src = 6 * (to[a] - 1)
-                cap[a] -= back
-                cap[a ^ 1] += back
-                cap[src] += back
-                cap[src ^ 1] -= back
-                f -= back
             cap[zeroed] = cap[zeroed ^ 1] = 0
+            if f:
+                to[back], cap[back] = 1 + j, f
+                flow -= net.max_flow(spare, 0)
+                cap[back] = cap[back ^ 1] = 0
         flow += net.max_flow(0, sink)
-        gain = q * t_count - flow
+        gain = qm - flow // 2
         if sides:
             side = net.source_side_maximal(sink)
-            yield gain, {active[i - 1 - t_count] for i in side if i > t_count and i != sink}
+            yield gain, {active[i - 1] for i in side if 0 < i <= k}
         else:
             yield gain, None
 

@@ -6,8 +6,9 @@ n! coverage sets, coloring skews by explicitly generating every
 respecting permutation, graph catalogs by raw bitmask enumeration,
 copy conflicts by a Kahn peel of each pair's edge union, conflict
 cliques by the same peel against every member, densest subsets by
-enumerating every vertex subset, per-root min cuts on a fresh network
-with a flow from zero, and H-copies by a backtracking search over
+enumerating every vertex subset, per-root min cuts on a fresh token
+network (a node per edge, not the package's vertex network) with a flow
+from zero, and H-copies by a backtracking search over
 Python sets.
 """
 
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from dagcover.covering import Copy, CopySet, _pattern_order, enumerate_copies, union_graph
-from dagcover.density import DensityReport, Graph, _active_vertices, _build_network, _check_input
+from dagcover.density import DensityReport, Graph, _Dinic, _active_vertices, _check_input
 from dagcover.digraph import Digraph, Edge, Permutation, forward_count, is_dag
 from dagcover.errors import InvalidInputError, SizeLimitError
 from dagcover.rng import substream
@@ -369,10 +370,37 @@ def densest_subset_enum(g: Graph, kind: str = "arboricity") -> DensityReport:
     return DensityReport(value=value, witness=witness, totally_balanced=value == whole)
 
 
+def _build_network(
+    tokens: list[tuple[int, int]],
+    active: list[int],
+    p: int,
+    q: int,
+    root: int | None,
+) -> tuple[_Dinic, int]:
+    """Source -> tokens (cap q) -> endpoints (inf) -> sink (cap p; 0 at root).
+
+    Token i's source arc is arc 6i; vertex active[j]'s sink arc is arc
+    6 * len(tokens) + 2j.
+    """
+    index = {v: i for i, v in enumerate(active)}
+    t_count = len(tokens)
+    n_nodes = 2 + t_count + len(active)
+    sink = n_nodes - 1
+    net = _Dinic(n_nodes)
+    inf = q * t_count + 1
+    for i, (u, v) in enumerate(tokens):
+        net.add(0, 1 + i, q)
+        net.add(1 + i, 1 + t_count + index[u], inf)
+        net.add(1 + i, 1 + t_count + index[v], inf)
+    for v in active:
+        net.add(1 + t_count + index[v], sink, 0 if v == root else p)
+    return net, sink
+
+
 def cuts_from_scratch(tokens, active, lam: Fraction, roots) -> list[tuple[int, set[int]]]:
     """Per root, (gain, maximal source side) as `density._cuts` yields them.
 
-    Each root gets its own network and a max flow from zero; the source
+    Each root gets its own token network and a max flow from zero; the source
     side is what cannot reach the sink, found over an explicit reverse
     adjacency list of the residual graph.
     """

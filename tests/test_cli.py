@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -191,6 +192,32 @@ def test_census_cli(capsys):
     obj = json.loads(out)
     assert obj["samples"] == 50
     assert 0.0 <= obj["fraction"] <= 1.0
+
+
+def test_census_json_pinned(capsys):
+    # recorded before the min cuts moved from the token network to the vertex network
+    code, out, _ = run_cli(capsys, "census", "--h", "24", "--samples", "20", "--seed", "1", "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"h": 24, "samples": 20, "fraction": 0.85, "histogram": {"59/11": 1, "125/23": 1, '
+        '"126/23": 1, "128/23": 1, "118/21": 1, "130/23": 3, "134/23": 1, "135/23": 1, '
+        '"6/1": 3, "142/23": 1, "143/23": 1, "145/23": 2, "154/23": 1, "149/22": 1, '
+        '"162/23": 1}, "isolated": 0, "edgeless": 0}\n'
+    )
+
+
+def test_params_host_pinned(capsys, tmp_path):
+    # the n = 80 host of the params benchmark; recorded before the vertex network
+    from dagcover import sample_digraph
+
+    path = graph_file(tmp_path, "d80.txt", sample_digraph(80, 0.1, 1))
+    code, out, _ = run_cli(capsys, "params", path, "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    all_but_19 = [v for v in range(80) if v != 19]
+    assert obj["arboricity"] == {"value": "319/39", "witness": all_but_19, "totally_balanced": False}
+    assert obj["density"] == {"value": "638/79", "witness": all_but_19, "totally_balanced": False}
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "802fc03426f68b6f"
 
 
 def test_invalid_inputs_exit_2(capsys, tmp_path):

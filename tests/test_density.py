@@ -210,23 +210,104 @@ def test_warm_cuts_zero_a_saturated_sink_arc():
     _warm_matches_scratch(g, lam, [0, 3, 3, 1, 0, None, 4])
 
 
+def _random_roots(rng: random.Random, active: list[int]) -> list[int | None]:
+    roots: list[int | None] = list(active)
+    rng.shuffle(roots)
+    roots.insert(rng.randrange(len(roots) + 1), rng.choice(active))  # one root twice
+    roots.insert(rng.randrange(len(roots) + 1), None)
+    return roots
+
+
+def test_vertex_network_two_cycle_pairs():
+    # pair arcs carry q * 2 where both directions are edges, and degrees count both tokens
+    rng = random.Random(71)
+    doubled = 0
+    for _ in range(30):
+        n = rng.randint(2, 10)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs]
+        edges += [(v, u) for u, v in pairs if rng.random() < 0.7]
+        g = Digraph(n, edges)
+        if g.edge_count == 0:
+            continue
+        doubled += sum(1 for u, v in g.edges if u < v and (v, u) in g.edges)
+        active = _active_vertices(_check_input(g))
+        value = densest_subset_enum(g).value
+        for lam in (value, value - Fraction(1, 89), Fraction(rng.randint(1, 40), rng.randint(1, 9))):
+            _warm_matches_scratch(g, lam, _random_roots(rng, active))
+    assert doubled >= 60
+
+
+def test_vertex_network_undirected():
+    rng = random.Random(72)
+    for i in range(12):
+        g = sample_undirected(rng.randint(3, 14), rng.choice([0.3, 0.6, 0.9]), 72, i)
+        if g.edge_count == 0:
+            continue
+        active = _active_vertices(_check_input(g))
+        value = densest_subset_enum(g).value
+        for lam in (value, value + Fraction(1, 53), Fraction(rng.randint(1, 20), rng.randint(1, 5))):
+            _warm_matches_scratch(g, lam, _random_roots(rng, active))
+
+
+def test_vertex_network_extreme_ratios():
+    # capacities far apart: 2p dwarfs q * deg, or the other way round
+    rng = random.Random(73)
+    graphs = [random_digraph(rng, rng.randint(3, 12), rng.choice([0.3, 0.7])) for _ in range(12)]
+    graphs.append(sample_undirected(32, 0.5, 7, 0))
+    for g in graphs:
+        if g.edge_count == 0:
+            continue
+        active = _active_vertices(_check_input(g))
+        for lam in (Fraction(10**6 + 3, 7), Fraction(7, 10**6 + 3)):
+            _warm_matches_scratch(g, lam, _random_roots(rng, active))
+
+
+def test_vertex_network_returns_both_ways(monkeypatch):
+    # moving to a root sends its sink arc's flow back only when there is some (f > 0)
+    calls = {"returns": 0, "moves": 0}
+    max_flow = density._Dinic.max_flow
+
+    def counting_max_flow(net, s, t):
+        calls["returns"] += s != 0
+        return max_flow(net, s, t)
+
+    monkeypatch.setattr(density._Dinic, "max_flow", counting_max_flow)
+    rng = random.Random(74)
+    for _ in range(20):
+        g = random_digraph(rng, rng.randint(3, 10), rng.choice([0.3, 0.6]))
+        if g.edge_count == 0:
+            continue
+        active = _active_vertices(_check_input(g))
+        value = densest_subset_enum(g).value
+        for lam in (value, value - Fraction(1, 31)):
+            roots = _random_roots(rng, active)
+            calls["moves"] += sum(1 for r in roots[1:] if r is not None)
+            _warm_matches_scratch(g, lam, roots)
+    # _warm_matches_scratch runs _cuts twice (with and without sides)
+    assert 0 < calls["returns"] < 2 * calls["moves"]
+
+
 def test_one_network_per_dinkelbach_round(monkeypatch):
-    counts = {"networks": 0, "rounds": 0}
-    build, cuts = density._build_network, density._cuts
+    # each _cuts call builds one vertex network: source, sink, spare and a node per active vertex
+    networks: list[int] = []
+    expected: list[int] = []
+    dinic, cuts = density._Dinic, density._cuts
 
-    def counting_build(*args):
-        counts["networks"] += 1
-        return build(*args)
+    class CountingDinic(dinic):
+        def __init__(self, n):
+            networks.append(n)
+            super().__init__(n)
 
-    def counting_cuts(*args, **kwargs):
-        counts["rounds"] += 1
-        return cuts(*args, **kwargs)
+    def counting_cuts(tokens, active, *args, **kwargs):
+        expected.append(len(active) + 3)
+        return cuts(tokens, active, *args, **kwargs)
 
-    monkeypatch.setattr(density, "_build_network", counting_build)
+    monkeypatch.setattr(density, "_Dinic", CountingDinic)
     monkeypatch.setattr(density, "_cuts", counting_cuts)
     fractional_arboricity(sample_undirected(32, 0.5, 7, 0))
-    assert counts["rounds"] >= 2
-    assert counts["networks"] == counts["rounds"]
+    assert len(expected) >= 2
+    assert networks == expected
 
 
 # (arboricity value, witness bitmask, balanced, density value, witness bitmask, balanced),
