@@ -22,12 +22,15 @@ acyclic.  The brute-force oracle over all n! permutations in the test
 suite confirms the equivalence.
 
 `_Group` is the one group engine: an acyclic copy union with a
-topological order, grown by `can_add` (which changes no answer) and an
-`add` that cannot fail, and shrunk by `remove`.  It decides every
+topological order, grown by `try_add` and shrunk by `remove`.  `try_add`
+inserts a copy's edges in one pass that keeps the order topological and
+also finds any cycle they close; a copy that closes one is taken back
+out exactly, and the group stays as it was.  It decides every
 copy-family question: the greedy cover and the exact search build their
 groups with it, the clique lower bound keeps one group per member,
 `compatible` grows one group, and the exact search's conflict table
-asks a one-copy group about the pairs its lookup cannot decide (below).
+asks a one-copy group about the pairs its lookup cannot decide (below);
+those two probes remove a copy that went in.
 A group of _SNAPSHOT_EDGES or more edges also keeps a reachability
 snapshot, taken again each time the union grows by a quarter: a path
 it saw survives every later add, so it rejects copies without a
@@ -382,23 +385,27 @@ class _Group:
 
     `order` lists every vertex the group has touched, with each union
     edge running forward, and `count` maps each union edge to the number
-    of member copies holding it.  A backward edge (u, v) is inserted by
+    of member copies holding it.  `try_add` is the one way in: it inserts
+    a copy's edges one by one, and a backward edge (u, v) is placed by
     the bounded-region reordering of Pearce and Kelly: the region
     reachable from v and the region reaching u, both inside the window
-    [pos(v), pos(u)], swap within their own slots.
+    [pos(v), pos(u)], swap within their own slots.  The forward search
+    from v is also the cycle test, since a cycle through (u, v) is a
+    path from v to u, which stays inside that window.
 
     `desc` is a reachability snapshot (the per-vertex bitsets of
     Italiano's incremental closure, taken whole instead of kept up to
     date): it maps each vertex of `order` to the bitset of the vertices
     it reached over group edges when the snapshot was taken, and is
-    empty while there is none.  `add` takes it once the union holds _SNAPSHOT_EDGES
-    edges and again whenever the union has grown by a quarter since, in
-    one pass over the order reversed, at most |order| * n / 8 bytes.
-    Between removes the union only grows, so a stale snapshot still
-    holds only true paths: it may reject a copy, and never accepts one.
+    empty while there is none.  `try_add` takes it once the union holds
+    _SNAPSHOT_EDGES edges and again whenever the union has grown by a
+    quarter since, in one pass over the order reversed, at most
+    |order| * n / 8 bytes.  Between removes the union only grows, so a
+    stale snapshot still holds only true paths: it may reject a copy,
+    and never accepts one.
     """
 
-    def __init__(self, edges: Iterable[Edge] = ()) -> None:
+    def __init__(self, edges: Collection[Edge] = ()) -> None:
         """A group holding `edges`, one acyclic copy, or nothing."""
         self.out: dict[int, set[int]] = {}
         self.in_: dict[int, set[int]] = {}
@@ -410,20 +417,22 @@ class _Group:
         self.closing: set[Edge] = set()
         self.desc: dict[int, int] = {}
         self.snapshot_at = _SNAPSHOT_EDGES  # union size that takes the next snapshot
-        self.add(edges)
+        if not self.try_add(edges):
+            raise AssertionError("a group's first copy must be acyclic")
 
-    def can_add(self, edges: Collection[Edge]) -> bool:
-        """True iff the union stays acyclic with `edges` added.
+    def try_add(self, edges: Collection[Edge]) -> bool:
+        """Add one copy's edges if the union stays acyclic; True iff added.
 
-        An edge (u, v) whose head reached u in the snapshot closes a
-        cycle at once.  Otherwise vertices new to the group count as
-        placed after the current order.  Group edges all run forward, so
-        the highest vertex of a cycle is the tail u of a backward new
-        edge (u, v), and the rest of the cycle lies below it: a search
-        from v over positions below pos(u) finds the cycle.  It follows
-        group edges first; when they close the cycle with (u, v) alone,
-        (u, v) goes into `closing`, which refuses the next copy holding
-        it at once.  The group and every answer stay as they are.
+        An edge in `closing`, or an edge (u, v) whose head reached u in
+        the snapshot, refuses the copy at once.  Otherwise the edges go
+        in sorted, with vertices new to the group appended to the order.
+        A backward edge (u, v) closes a cycle iff the forward search from
+        v, over positions below pos(u), meets u; if so, the copy comes
+        out again: the slot log is replayed in reverse, the appended
+        vertices dropped, the inserted edges deleted and the holder
+        counts restored.  When none of the copy's edges had gone in yet,
+        group edges alone closed that cycle, and (u, v) goes into
+        `closing`, which refuses the next copy holding it at once.
         """
         closing = self.closing
         if closing and not closing.isdisjoint(edges):
@@ -433,69 +442,80 @@ class _Group:
             for u, v in edges:
                 if desc.get(v, 0) >> u & 1:
                     return False
-        pos = self.pos
-        end = len(self.order)
-        at: dict[int, int] = {}
-        for e in edges:
-            for w in e:
-                if w not in at:
-                    at[w] = pos.get(w, end + len(at))
-        tails = {u for u, _ in edges}
-        out = self.out
-        for u, v in edges:
-            top = at[u]
-            if top < at[v]:
-                continue
-            seen = {v}
-            stack = [v]
-            # group edges first: a cycle closed by (u, v) alone is memoised
-            while stack:
-                for y in out.get(stack.pop(), ()):
-                    if y == u:
-                        closing.add((u, v))
-                        return False
-                    if y not in seen and pos[y] < top:
-                        seen.add(y)
-                        stack.append(y)
-            # then the other new edges too, from the tails reached so far
-            stack = [x for x in tails if x in seen]
-            while stack:
-                x = stack.pop()
-                for y in out.get(x, ()):
-                    if y == u:
-                        return False
-                    if y not in seen and pos[y] < top:
-                        seen.add(y)
-                        stack.append(y)
-                if x in tails:
-                    for a, y in edges:
-                        if a == x and y not in seen:
-                            if y == u:
-                                return False
-                            if at[y] < top:
-                                seen.add(y)
-                                stack.append(y)
-        return True
-
-    def add(self, edges: Iterable[Edge]) -> None:
-        """Add one copy's edges, which must pass can_add, keeping the order topological."""
-        pos = self.pos
+        pos, order, count, out, in_ = self.pos, self.order, self.count, self.out, self.in_
+        end = len(order)
+        held: list[Edge] = []  # edges already in the union, whose counts went up
+        added: list[Edge] = []  # edges new to the union
+        moved: list[tuple[list[int], list[int]]] = []  # (slots, vertices they held) before each move
         for e in sorted(edges):
-            if e in self.count:
-                self.count[e] += 1
+            if e in count:
+                count[e] += 1
+                held.append(e)
                 continue
             u, v = e
-            for w in e:
-                if w not in pos:
-                    pos[w] = len(self.order)
-                    self.order.append(w)
-            if pos[u] > pos[v]:
-                self._reorder(u, v)
-            self.count[e] = 1
-            self.out.setdefault(u, set()).add(v)
-            self.in_.setdefault(v, set()).add(u)
-        if len(self.count) >= self.snapshot_at:
+            if u not in pos:
+                pos[u] = len(order)
+                order.append(u)
+            if v not in pos:
+                pos[v] = len(order)
+                order.append(v)
+            pu, pv = pos[u], pos[v]
+            if pu > pv:
+                # each region is searched breadth first, growing as it is read
+                fwd = [v]
+                seen = {v}
+                for x in fwd:
+                    for y in out.get(x, ()):
+                        if y not in seen:
+                            if pos[y] < pu:
+                                seen.add(y)
+                                fwd.append(y)
+                            elif y == u:
+                                if not added:
+                                    closing.add(e)
+                                self._undo(end, moved, added, held)
+                                return False
+                bwd = [u]
+                seen = {u}
+                for x in bwd:
+                    for y in in_.get(x, ()):
+                        if y not in seen and pos[y] > pv:
+                            seen.add(y)
+                            bwd.append(y)
+                bwd.sort(key=pos.__getitem__)
+                fwd.sort(key=pos.__getitem__)
+                region = bwd + fwd
+                slots = sorted(map(pos.__getitem__, region))
+                moved.append((slots, list(map(order.__getitem__, slots))))
+                for slot, x in zip(slots, region):
+                    order[slot] = x
+                pos.update(zip(region, slots))
+            count[e] = 1
+            added.append(e)
+            out.setdefault(u, set()).add(v)
+            in_.setdefault(v, set()).add(u)
+        if len(count) >= self.snapshot_at:
             self._snapshot()
+        return True
+
+    def _undo(self, end: int, moved: list[tuple[list[int], list[int]]], added: list[Edge],
+              held: list[Edge]) -> None:
+        """Take a refused copy back out, leaving the group as it was before `try_add`."""
+        order, pos = self.order, self.pos
+        for slots, vertices in reversed(moved):
+            for slot, x in zip(slots, vertices):
+                order[slot] = x
+            pos.update(zip(vertices, slots))
+        for x in order[end:]:
+            del pos[x]
+        del order[end:]
+        for e in added:
+            del self.count[e]
+            u, v = e
+            self.out[u].discard(v)
+            self.in_[v].discard(u)
+        for e in held:
+            self.count[e] -= 1
 
     def _snapshot(self) -> None:
         """Take `desc` afresh over the order reversed, which meets each edge's head first."""
@@ -508,36 +528,6 @@ class _Group:
             desc[x] = reach
         self.desc = desc
         self.snapshot_at = len(self.count) * 5 // 4
-
-    def _reorder(self, u: int, v: int) -> None:
-        pos = self.pos
-        pu, pv = pos[u], pos[v]
-        fwd = [v]
-        seen_f = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in self.out.get(x, ()):
-                if y not in seen_f and pos[y] < pu:
-                    seen_f.add(y)
-                    fwd.append(y)
-                    stack.append(y)
-        bwd = [u]
-        seen_b = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y in self.in_.get(x, ()):
-                if y not in seen_b and pos[y] > pv:
-                    seen_b.add(y)
-                    bwd.append(y)
-                    stack.append(y)
-        bwd.sort(key=pos.__getitem__)
-        fwd.sort(key=pos.__getitem__)
-        slots = sorted(pos[x] for x in bwd + fwd)
-        for slot, x in zip(slots, bwd + fwd):
-            self.order[slot] = x
-            pos[x] = slot
 
     def remove(self, edges: Iterable[Edge]) -> None:
         """Take one copy's edges out; an edge leaves when no member holds it.
@@ -567,11 +557,15 @@ class _Group:
 def compatible(copies: Iterable[Copy]) -> bool:
     """True iff one permutation can cover all given copies (acyclic edge union)."""
     group = _Group()
-    for c in copies:
-        if not group.can_add(c.edges):
-            return False
-        group.add(c.edges)
-    return True
+    return all(group.try_add(c.edges) for c in copies)
+
+
+def _fits(group: _Group, edges: Collection[Edge]) -> bool:
+    """True iff `edges` could join `group`, which keeps only what it held."""
+    if group.try_add(edges):
+        group.remove(edges)
+        return True
+    return False
 
 
 def _extend_to_permutation(n: int, prefix: Sequence[int]) -> Permutation:
@@ -597,16 +591,15 @@ def tau_greedy(
     scan = substream(seed).permutation(count)
     groups: list[_Group] = []
     assignment = [0] * count
-    for i in scan:
-        edges = cs.copies[int(i)].edges
+    for i in scan.tolist():
+        edges = cs.copies[i].edges
         for gi, group in enumerate(groups):
-            if group.can_add(edges):
-                group.add(edges)
+            if group.try_add(edges):
                 break
         else:
             gi = len(groups)
             groups.append(_Group(edges))
-        assignment[int(i)] = gi
+        assignment[i] = gi
     perms = tuple(_extend_to_permutation(cs.host.n, group.order) for group in groups)
     solution = CoverSolution(permutations=perms, assignment=tuple(assignment), truncated=cs.truncated)
     if not solution.covers(cs.copies):
@@ -648,7 +641,7 @@ def tau_lower_clique(
         if i == start:
             continue
         copy = cs.copies[i]
-        if not any(len(copy.vertices & vertices) < 2 or member.can_add(copy.edges)
+        if not any(len(copy.vertices & vertices) < 2 or _fits(member, copy.edges)
                    for vertices, member in clique):
             clique.append((copy.vertices, _Group(copy.edges)))
     return len(clique)
@@ -718,7 +711,7 @@ def _conflict_masks(items: Sequence[Copy]) -> list[int]:
     reversed, in an index of every copy's reachable pairs.  That test is
     exact for copies sharing at most three vertices (see the module
     docstring), so only the later copies sharing four or more vertices
-    and not marked yet are tested, with a one-copy group's can_add.
+    and not marked yet are tested, on a one-copy group.
     """
     reach = [_reach(c) for c in items]
     by_pair: dict[Edge, int] = {}
@@ -747,7 +740,7 @@ def _conflict_masks(items: Sequence[Copy]) -> list[int]:
             shared[0] |= mask
         alone = _Group(c.edges)
         for j in _bits((shared[3] & ~masks[i]) >> (i + 1) << (i + 1)):  # later, unmarked
-            if not alone.can_add(items[j].edges):
+            if not _fits(alone, items[j].edges):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
@@ -862,8 +855,7 @@ def tau_exact(
         others = remaining[:pick_at] + remaining[pick_at + 1:]
         for gi in range(used):
             row = hits[gi]
-            if not row[i] and groups[gi].can_add(edges):
-                groups[gi].add(edges)
+            if not row[i] and groups[gi].try_add(edges):
                 for j in near:
                     if not row[j]:
                         blocked[j] += 1

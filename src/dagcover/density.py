@@ -295,7 +295,8 @@ def _parametric_max(g: Graph, kind: str) -> DensityReport:
 
     lam starts at the ratio of all non-isolated vertices and rises
     strictly while some gain is positive; when none is, lam is the
-    optimum and the same round's maximal cuts hold the witness.
+    optimum and the same round's maximal cuts hold the witness.  A
+    round whose best cut does not raise lam raises instead of looping.
     """
     tokens = _check_input(g)
     active = _active_vertices(tokens)
@@ -312,7 +313,10 @@ def _parametric_max(g: Graph, kind: str) -> DensityReport:
         gain, subset = max(cuts, key=lambda cut: cut[0])
         if gain <= 0:
             break
-        value = ratio(subset)
+        better = ratio(subset)
+        if better <= value:  # a positive gain means a higher ratio; without it the loop never ends
+            raise AssertionError("a cut with positive gain did not raise the ratio; the cuts disagree")
+        value = better
     # self-consistency: the witness is a maximal cut whose recounted ratio reproduces the value
     witness = next((tuple(sorted(s)) for _, s in cuts if len(s) >= min_size and ratio(s) == value), None)
     if witness is None:

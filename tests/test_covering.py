@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import pickle
 import random
@@ -236,6 +237,34 @@ def test_compatible_matches_union_dagness_random():
     assert seen == {True, False}
 
 
+def twin(group: _Group) -> _Group:
+    """A copy of the group sharing no state with it."""
+    other = copy.copy(group)
+    other.out = {x: set(heads) for x, heads in group.out.items()}
+    other.in_ = {x: set(tails) for x, tails in group.in_.items()}
+    other.pos, other.order, other.count = dict(group.pos), list(group.order), dict(group.count)
+    other.closing, other.desc = set(group.closing), dict(group.desc)
+    return other
+
+
+def ask(group: _Group, edges, want: bool) -> bool:
+    """try_add's answer, with the group left as a refusal leaves it.
+
+    `want` is the oracle's answer: a copy it expects to go in is tried on
+    a twin, and one it expects refused is tried on the group itself,
+    which must then undo the copy.
+    """
+    return (twin(group) if want else group).try_add(edges)
+
+
+def group_state(group: _Group) -> tuple:
+    """What a refused try_add must leave as it found it; `closing` may grow."""
+    return (list(group.order), dict(group.pos), dict(group.count),
+            {(u, v) for u, heads in group.out.items() for v in heads},
+            {(u, v) for v, tails in group.in_.items() for u in tails},
+            dict(group.desc), group.snapshot_at)
+
+
 def test_group_matches_batch_recompute():
     rng = random.Random(21)
     for _ in range(60):
@@ -252,11 +281,10 @@ def test_group_matches_batch_recompute():
                 if not batch:
                     continue
                 union = set().union(*members)
-                got = group.can_add(batch)
+                got = group.try_add(batch)
                 assert got == is_dag(Digraph(8, union | batch))
                 if not got:
                     continue
-                group.add(batch)
                 members.append(batch)
             # the order must stay topological and the edge set exact, with its holder counts
             union = set().union(*members)
@@ -264,14 +292,76 @@ def test_group_matches_batch_recompute():
             assert all(pos[u] < pos[v] for u, v in union)
             assert group.count == Counter(e for batch in members for e in batch)
     # a cycle that alternates between old vertices and two vertices new to the group
-    group = _Group()
-    group.add({(0, 2), (1, 3)})
-    assert not group.can_add({(5, 0), (0, 6), (6, 1), (1, 5)})
-    assert group.can_add({(5, 0), (0, 6), (6, 1), (5, 1)})
+    group = _Group({(0, 2), (1, 3)})
+    assert not group.try_add({(5, 0), (0, 6), (6, 1), (1, 5)})
+    assert group.try_add({(5, 0), (0, 6), (6, 1), (5, 1)})
+
+
+def test_group_refuses_a_cyclic_first_copy():
+    with pytest.raises(AssertionError):
+        _Group({(0, 1), (1, 0)})
+    with pytest.raises(AssertionError):
+        _Group({(0, 1), (1, 2), (2, 0)})
+    assert _Group().order == [] and _Group({(1, 0)}).order == [1, 0]
+
+
+def test_group_refusal_is_undone_exactly(monkeypatch):
+    # after every refused try_add the group equals a copy taken before the
+    # call, and every closing edge (u, v) has v reaching u over group edges
+    logs: list[int] = []  # slots logged by each refusal
+    undo = _Group._undo
+
+    def logged(self, end, moved, added, held):
+        logs.append(sum(len(slots) for slots, _ in moved))
+        undo(self, end, moved, added, held)
+
+    monkeypatch.setattr(_Group, "_undo", logged)
+
+    # (1, 2) goes in first and moves vertex 1 below 2 and 3; (3, 1) then
+    # closes a cycle through it, so both the move and the edge are undone,
+    # and the cycle needs a new edge, so (3, 1) is not memoised
+    group = _Group({(2, 3)})
+    before = group_state(group)
+    assert not group.try_add({(1, 2), (3, 1)})
+    assert logs == [3] and group_state(group) == before and not group.closing
+    # group edges alone close this one
+    assert not group.try_add({(3, 2)}) and group.closing == {(3, 2)}
+    assert group_state(group) == before
+
+    rng = random.Random(61)
+    refused = closing = two_cycles = 0
+    for _ in range(30):
+        n = rng.randint(4, 8)
+        g = random_digraph(rng, n, 0.5)
+        two_cycles += any((v, u) in g.edges for u, v in g.edges)
+        batches = [c.edges for c in enumerate_copies(g, T3).copies + enumerate_copies(g, P3).copies]
+        for _ in range(10):  # cycles of two and three host edges, as batches of their own
+            u, v, w = rng.sample(range(n), 3)
+            batches += [{(u, v), (v, u)}, {(u, v), (v, w), (w, u)}]
+        group = _Group()
+        members: list = []
+        for _ in range(40):
+            if members and rng.random() < 0.2:
+                group.remove(members.pop(rng.randrange(len(members))))
+                continue
+            batch = rng.choice(batches)
+            before = group_state(group)
+            if group.try_add(batch):
+                members.append(batch)
+                continue
+            refused += 1
+            assert group_state(group) == before, batch
+            union = set().union(*members)
+            assert not is_dag(Digraph(n, union | batch))
+            for u, v in group.closing:
+                assert not is_dag(Digraph(n, union | {(u, v)})), (u, v)
+            closing += len(group.closing)
+    assert two_cycles > 20 and refused > 300 and closing > 100
+    assert sum(1 for moved in logs if moved) > 20
 
 
 def test_group_closing_memo_matches_fresh_groups():
-    # can_add keeps the edges that close a cycle with group edges alone;
+    # try_add keeps the edges that close a cycle with group edges alone;
     # after every add and remove its answers must match a group built
     # afresh from the current members and is_dag on the union
     rng = random.Random(31)
@@ -288,23 +378,22 @@ def test_group_closing_memo_matches_fresh_groups():
                 clears += had and not group.closing
             else:
                 c = rng.choice(copies)
-                if group.can_add(c.edges):
-                    group.add(c.edges)
+                if group.try_add(c.edges):
                     members.append(c)
             fresh = _Group()
             for m in members:
-                fresh.add(m.edges)
+                assert fresh.try_add(m.edges)
             union = set().union(*(m.edges for m in members))
             for c in copies:
                 hits += bool(group.closing & c.edges)
-                got = group.can_add(c.edges)
-                assert got == fresh.can_add(c.edges) == is_dag(Digraph(7, union | c.edges)), c
+                want = is_dag(Digraph(7, union | c.edges))
+                assert ask(group, c.edges, want) == covering._fits(fresh, c.edges) == want, c
     assert hits and clears
 
 
 @pytest.mark.parametrize("snapshot_edges", [0, 1, covering._SNAPSHOT_EDGES])
 def test_group_snapshot_matches_fresh_groups(monkeypatch, snapshot_edges):
-    # a snapshot may only reject: after every add and remove, can_add
+    # a snapshot may only reject: after every add and remove, try_add
     # must match a group built afresh from the current members and
     # is_dag on the union, and every snapshot bit must be a group path
     monkeypatch.setattr(covering, "_SNAPSHOT_EDGES", snapshot_edges)
@@ -320,20 +409,19 @@ def test_group_snapshot_matches_fresh_groups(monkeypatch, snapshot_edges):
                 group.remove(members.pop(rng.randrange(len(members))).edges)
             else:
                 c = rng.choice(copies)
-                if group.can_add(c.edges):
-                    group.add(c.edges)
+                if group.try_add(c.edges):
                     members.append(c)
             snapshots += bool(group.desc)
             fresh = _Group()
             for m in members:
-                fresh.add(m.edges)
+                assert fresh.try_add(m.edges)
             union = set().union(*(m.edges for m in members))
             for x, reach in group.desc.items():
                 for y in covering._bits(reach):
                     assert not is_dag(Digraph(8, union | {(y, x)})), (x, y)
             for c in copies:
-                got = group.can_add(c.edges)
-                assert got == fresh.can_add(c.edges) == is_dag(Digraph(8, union | c.edges)), c
+                want = is_dag(Digraph(8, union | c.edges))
+                assert ask(group, c.edges, want) == covering._fits(fresh, c.edges) == want, c
     # n = 8 groups hold at most 56 edges, so only lowered thresholds take one
     assert (snapshots > 0) == (snapshot_edges < 56)
 
@@ -351,7 +439,7 @@ def test_group_snapshot_rule(monkeypatch):
     # each time the union has grown by a quarter
     group = _Group()
     for i in range(100):
-        group.add({(i, i + 1)})
+        assert group.try_add({(i, i + 1)})
     assert taken == [64, 80, 100]
     assert group.desc[0] == sum(1 << y for y in range(1, 101))
 
@@ -364,18 +452,18 @@ def test_group_snapshot_rule(monkeypatch):
             return super().get(key, default)
 
     group.out = Spy(group.out)
-    assert not group.can_add({(100, 0)})
+    assert not group.try_add({(100, 0)})
     assert searched == []
 
     # add and remove of one copy in turn, as the exact search does, takes
     # no snapshot: the first remove drops it and re-arms the growth rule
     taken.clear()
     for _ in range(20):
-        group.add({(100, 101), (101, 102)})
+        assert group.try_add({(100, 101), (101, 102)})
         group.remove({(100, 101), (101, 102)})
         assert not group.desc
-    assert not group.can_add({(100, 0)})
-    assert group.can_add({(101, 0)})
+    assert not group.try_add({(100, 0)})
+    assert group.try_add({(101, 0)})
     assert taken == []
     # the exact search's n = 8 groups stay below the threshold
     assert tau_exact(family_draw("T3", 3), T3, budget=2000).nodes > 0
@@ -488,6 +576,14 @@ def test_greedy_sweep_host_pinned():
     g = sample_digraph(300, 300**-0.5, 606, 0)
     sol = tau_greedy(g, T3, seed=1)
     assert (len(sol.assignment), sol.size, solution_digest(sol)) == (5267, 7, "8603873b66050156")
+
+
+def test_greedy_bench_host_pinned():
+    # the benchmark's sweep_tau host size; recorded before a copy went in
+    # with one insert that also finds the cycle
+    g = sample_digraph(500, 500**-0.5, 606, 0)
+    sol = tau_greedy(g, T3, seed=1)
+    assert (len(sol.assignment), sol.size, solution_digest(sol)) == (11344, 8, "95be992095200a0a")
 
 
 @pytest.mark.parametrize(

@@ -310,6 +310,23 @@ def test_one_network_per_dinkelbach_round(monkeypatch):
     assert networks == expected
 
 
+@pytest.mark.parametrize("measure", [fractional_arboricity, maximal_density])
+def test_dinkelbach_raises_when_a_gain_does_not_raise_the_ratio(monkeypatch, measure):
+    # a broken cut routine that reports a positive gain for every vertex,
+    # whose ratio is the starting value: the loop would never end
+    calls = []
+
+    def broken_cuts(tokens, active, lam, roots, sides=True):
+        calls.append(lam)
+        for _ in roots:
+            yield 1, set(active)
+
+    monkeypatch.setattr(density, "_cuts", broken_cuts)
+    with pytest.raises(AssertionError, match="did not raise the ratio"):
+        measure(sample_undirected(12, 0.5, 7, 0))
+    assert len(calls) == 1
+
+
 # (arboricity value, witness bitmask, balanced, density value, witness bitmask, balanced),
 # recorded from the candidate-grid search that Dinkelbach iteration replaced
 PINNED_REPORTS = [
