@@ -52,6 +52,7 @@ but reach no pair in opposite directions.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
@@ -335,10 +336,16 @@ def enumerate_copies(g: Digraph, h: Digraph, cap: int = DEFAULT_COPY_CAP) -> Cop
     if not truncated:
         found, truncated = _first_copies(np.concatenate(held), cap)
     tails, heads = np.divmod(found, n)
-    copies = tuple(
-        Copy(frozenset(us + vs), frozenset(zip(us, vs)))
-        for us, vs in zip(tails.tolist(), heads.tolist())
-    )
+    collecting = gc.isenabled()
+    gc.disable()  # the copies hold no cycles; collections here cost about a third of the call
+    try:
+        copies = tuple(
+            Copy(frozenset(us + vs), frozenset(zip(us, vs)))
+            for us, vs in zip(tails.tolist(), heads.tolist())
+        )
+    finally:
+        if collecting:
+            gc.enable()
     return CopySet(host=g, pattern=h, copies=copies, truncated=truncated)
 
 

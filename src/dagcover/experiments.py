@@ -10,7 +10,8 @@ are byte-identical no matter how samples are scheduled.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -35,7 +36,11 @@ from .rng import substream
 from .skewness import SkewReport, skewness_exact
 
 SWEEP_MODES = ("dagness", "tau_stats", "skew_pipeline", "copy_count")
-_DRAW_CHUNK = 1 << 20  # uniforms per block of sample_digraph; the n*n grid is never held whole
+_DRAW_CHUNK = 1 << 20  # uniforms in flight over all draw threads; the n*n grid is never held whole
+# threads drawing one sample's grid: the usable CPUs, at most 4
+_DRAW_THREADS = min(
+    4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 def sample_digraph(n: int, p: float, seed: int, sample_index: int = 0) -> Digraph:
@@ -43,21 +48,42 @@ def sample_digraph(n: int, p: float, seed: int, sample_index: int = 0) -> Digrap
 
     Ordered pairs are examined in lexicographic order (uniforms are
     drawn for the full n*n grid, diagonal entries discarded, to keep the
-    indexing dense), so the stream layout is fixed.  The grid is drawn
-    in blocks of whole rows; consecutive draws continue one stream, so
-    the blocks read exactly the uniforms a single n*n draw would.
+    indexing dense), so the stream layout is fixed.  The flat grid is
+    cut into blocks whose length is a multiple of 4, the uniforms per
+    Philox counter step; each block advances a generator of its own to
+    its first step, so it reads exactly the uniforms one n*n draw would.
+    `_DRAW_THREADS` threads share the blocks (a grid of one block draws
+    on the calling thread) and the hits are joined in grid order, so
+    the edges and their iteration order never depend on the threads.
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"edge probability must lie in [0,1], got {p}")
     if n < 0:
         raise InvalidInputError(f"n must be >= 0, got {n}")
-    rng = substream(seed, n, sample_index, 0)
-    rows = max(1, _DRAW_CHUNK // max(n, 1))
-    hits = [np.empty(0, dtype=np.intp)]
-    for first in range(0, n, rows):
-        draws = rng.random(min(rows, n - first) * n)
-        hits.append(np.flatnonzero(draws < p) + first * n)
-    us, vs = np.divmod(np.concatenate(hits), n)
+    threads, total = _DRAW_THREADS, n * n
+    block = max(4, _DRAW_CHUNK // threads // 4 * 4)
+    starts = range(0, total, block)
+
+    def draw(first: int) -> list[np.ndarray]:
+        buf = np.empty(min(block, total))
+        hits = []
+        for lo in starts[first::threads]:
+            rng = substream(seed, n, sample_index, 0)
+            rng.bit_generator.advance(lo // 4)
+            draws = buf[: min(block, total - lo)]
+            rng.random(out=draws)
+            hits.append(np.flatnonzero(draws < p) + lo)
+        return hits
+
+    workers = min(threads, len(starts))
+    if workers <= 1:
+        parts = [draw(0)]
+    else:
+        # a pool per call: a module-level one would hang in forked sweep workers
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(draw, range(workers)))
+    hits = [parts[k % threads][k // threads] for k in range(len(starts))]
+    us, vs = np.divmod(np.concatenate([np.empty(0, dtype=np.intp), *hits]), n)
     keep = us != vs
     edges = frozenset(zip(us[keep].tolist(), vs[keep].tolist()))
     return Digraph._from_trusted(n, edges)

@@ -5,7 +5,10 @@ generator: the user seed becomes the key and the stream path (for
 example ``(n, sample_index, tag)``) is planted in the high words of the
 counter.  Streams with different paths never overlap because generation
 only advances the low counter word, so parallel sampling stays
-bit-stable regardless of scheduling.
+bit-stable regardless of scheduling.  Each counter step yields four
+64-bit words and a double uses one, so ``bit_generator.advance(k)``
+skips exactly 4k doubles: a stream can be cut at any multiple of 4 and
+its pieces drawn on separate threads, reading the same uniforms.
 """
 
 from __future__ import annotations

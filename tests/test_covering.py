@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import pickle
 import random
@@ -85,6 +86,27 @@ def test_enumerate_copy_structure():
         assert c.edges <= cs.host.edges
         assert len(c.edges) == 3 and len(c.vertices) == 3
     assert len({c.edges for c in cs.copies}) == len(cs)
+
+
+def test_enumerate_restores_the_collector(monkeypatch):
+    def refuse(*args):
+        assert not gc.isenabled()  # paused while the copies are built
+        raise RuntimeError("no copy")
+
+    host = make_transitive_tournament(4)
+    was = gc.isenabled()
+    try:
+        for on in (True, False):
+            gc.enable() if on else gc.disable()
+            assert len(enumerate_copies(host, T3)) == 4
+            assert gc.isenabled() is on
+            with monkeypatch.context() as m:
+                m.setattr(covering, "Copy", refuse)
+                with pytest.raises(RuntimeError, match="no copy"):
+                    enumerate_copies(host, T3)
+            assert gc.isenabled() is on
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_enumerate_cap_truncates():

@@ -41,13 +41,40 @@ def test_sample_digraph_binomial_concentration():
         assert abs(m - mu) <= 4 * sigma
 
 
-def test_sample_digraph_chunks_match_whole_grid():
-    n, p = 1500, 0.01
-    rows = experiments._DRAW_CHUNK // n
-    assert n > 2 * rows and n % rows  # two full row blocks and a partial one
-    hits = np.flatnonzero(substream(3, n, 4, 0).random(n * n) < p)
-    expected = {(u, v) for u, v in zip(*(a.tolist() for a in np.divmod(hits, n))) if u != v}
-    assert sample_digraph(n, p, seed=3, sample_index=4).edges == expected
+def test_sample_digraph_chunks_match_whole_grid(monkeypatch):
+    # chunks of 8 and 44 end blocks mid-row, 10 is no multiple of 4, 4096 leaves a
+    # partial last block at n = 1500; three threads run the pool on any machine
+    for chunk in (8, 10, 44, 4096, experiments._DRAW_CHUNK):
+        monkeypatch.setattr(experiments, "_DRAW_CHUNK", chunk)
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(experiments, "_DRAW_THREADS", threads)
+            for n in (0, 1, 2, 37) + ((1500,) if chunk >= 4096 else ()):
+                p = 0.3 if n < 100 else 0.01
+                hits = np.flatnonzero(substream(3, n, 4, 0).random(n * n) < p)
+                us, vs = np.divmod(hits, n)
+                keep = us != vs
+                expected = frozenset(zip(us[keep].tolist(), vs[keep].tolist()))
+                g = sample_digraph(n, p, seed=3, sample_index=4)
+                assert g.edges == expected, (chunk, threads, n)
+                assert list(g.edges) == list(expected), (chunk, threads, n)
+
+
+def test_forked_sweep_draws_on_per_call_thread_pools(monkeypatch):
+    # each forked worker draws its grids on threads of its own; a pool kept
+    # across calls would reach the workers without its threads and hang them
+    cfg = SweepConfig(
+        pattern=make_transitive_tournament(3),
+        a_star=Fraction(5, 4),
+        n_values=(30, 60),
+        samples=4,
+        seed=41,
+        mode="dagness",
+    )
+    rows = threshold_sweep(cfg)
+    monkeypatch.setattr(experiments, "_DRAW_CHUNK", 256)
+    monkeypatch.setattr(experiments, "_DRAW_THREADS", 2)
+    assert threshold_sweep(cfg) == rows
+    assert threshold_sweep(cfg, jobs=2) == rows
 
 
 def test_sample_undirected_binomial_concentration():
