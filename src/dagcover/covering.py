@@ -28,8 +28,8 @@ also finds any cycle they close; a copy that closes one is taken back
 out exactly, and the group stays as it was.  It decides every
 copy-family question: the greedy cover and the exact search build their
 groups with it, the clique lower bound keeps one group per member,
-`compatible` grows one group, and the exact search's conflict table
-asks a one-copy group about the pairs its lookup cannot decide (below);
+`compatible` grows one group, and the exact search's conflict lists
+ask a one-copy group about the pairs their lookup cannot decide (below);
 those two probes remove a copy that went in.
 A group of _SNAPSHOT_EDGES or more edges also keeps a reachability
 snapshot, taken again each time the union grows by a quarter: a path
@@ -43,9 +43,9 @@ all shared, and each stretch between two switches is a path inside one
 copy, so a reachable pair of that copy.  When the copies share at most
 three vertices, 2k = 2: one copy reaches b from a and the other reaches
 a from b.  Conversely, two such paths make a closed walk in the union,
-so a cycle.  The conflict table (`_conflict_masks`) decides such pairs
-by looking up reachable pairs, and tests only the copies sharing four
-or more vertices with a group.  The lookup alone would miss some of
+so a cycle.  The conflict lists (`_conflicts`) decide such pairs by
+looking up reachable pairs, and test only the copies sharing four or
+more vertices with a group.  The lookup alone would miss some of
 those: the copies {(0, 1), (2, 3)} and {(1, 2), (3, 0)} close a 4-cycle
 but reach no pair in opposite directions.
 """
@@ -53,6 +53,7 @@ but reach no pair in opposite directions.
 from __future__ import annotations
 
 import gc
+from collections import Counter
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
@@ -682,16 +683,6 @@ class _Budget(Exception):
     pass
 
 
-def _bits(mask: int) -> list[int]:
-    """The indices of the set bits of `mask`, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _reach(copy: Copy) -> set[Edge]:
     """The pairs (a, b) such that the copy has a path from a to b."""
     out: dict[int, list[int]] = {}
@@ -710,47 +701,39 @@ def _reach(copy: Copy) -> set[Edge]:
     return pairs
 
 
-def _conflict_masks(items: Sequence[Copy]) -> list[int]:
-    """Bit j of entry i is set iff copies i and j cannot share a group.
+def _conflicts(items: Sequence[Copy]) -> list[list[int]]:
+    """Entry i lists, ascending, the copies that cannot share a group with copy i.
 
     Copies i and j conflict when one reaches b from a and the other
-    reaches a from b, found by looking up each reachable pair of copy i,
-    reversed, in an index of every copy's reachable pairs.  That test is
-    exact for copies sharing at most three vertices (see the module
+    reaches a from b, found in an index of every copy's reachable pairs:
+    the copies under (a, b) conflict with those under (b, a).  That test
+    is exact for copies sharing at most three vertices (see the module
     docstring), so only the later copies sharing four or more vertices
-    and not marked yet are tested, on a one-copy group.
+    and not listed yet are tested, on a one-copy group.
     """
-    reach = [_reach(c) for c in items]
-    by_pair: dict[Edge, int] = {}
-    for i, pairs in enumerate(reach):
-        for pair in pairs:
-            by_pair[pair] = by_pair.get(pair, 0) | 1 << i
-    masks = []
-    for pairs in reach:
-        mask = 0
-        for a, b in pairs:
-            mask |= by_pair.get((b, a), 0)
-        masks.append(mask)
-    if all(len(c.vertices) < 4 for c in items):
-        return masks
-    by_vertex: dict[int, int] = {}
+    by_pair: dict[Edge, list[int]] = {}
     for i, c in enumerate(items):
-        for w in c.vertices:
-            by_vertex[w] = by_vertex.get(w, 0) | 1 << i
-    for i, c in enumerate(items):
-        # shared[k - 1]: the copies sharing at least k of copy i's vertices
-        shared = [0] * 4
-        for w in c.vertices:
-            mask = by_vertex[w]
-            for k in range(3, 0, -1):
-                shared[k] |= shared[k - 1] & mask
-            shared[0] |= mask
-        alone = _Group(c.edges)
-        for j in _bits((shared[3] & ~masks[i]) >> (i + 1) << (i + 1)):  # later, unmarked
-            if not _fits(alone, items[j].edges):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
+        for pair in _reach(c):
+            by_pair.setdefault(pair, []).append(i)
+    sets: list[set[int]] = [set() for _ in items]
+    for (a, b), holders in by_pair.items():
+        opposite = by_pair.get((b, a))
+        if opposite:
+            for i in holders:
+                sets[i].update(opposite)
+    if any(len(c.vertices) >= 4 for c in items):
+        by_vertex: dict[int, list[int]] = {}
+        for i, c in enumerate(items):
+            for w in c.vertices:
+                by_vertex.setdefault(w, []).append(i)
+        for i, c in enumerate(items):
+            shared = Counter(j for w in c.vertices for j in by_vertex[w] if j > i)
+            alone = _Group(c.edges)
+            for j in sorted(j for j, k in shared.items() if k >= 4 and j not in sets[i]):
+                if not _fits(alone, items[j].edges):
+                    sets[i].add(j)
+                    sets[j].add(i)
+    return [sorted(near) for near in sets]
 
 
 def tau_exact(
@@ -769,11 +752,12 @@ def tau_exact(
     the first remaining one with the most blocked groups, those holding
     a member it conflicts with, so the fewest open groups left to try.
     Blocked counts are kept up to date as copies join and leave groups
-    and groups open and close, not recounted at every node.  The
-    conflict table comes from lookups of each copy's reachable pairs,
-    with a group test only for copies sharing four or more vertices
-    (see the module docstring).  If the node budget runs out, or the
-    copy set is truncated, the result degrades to (lower, upper) bounds.
+    and groups open and close, not recounted at every node.  The clique
+    and the blocked counts read the conflict lists of `_conflicts`:
+    lookups of each copy's reachable pairs, with a group test only for
+    copies sharing four or more vertices (see the module docstring).
+    If the node budget runs out, or the copy set is truncated, the
+    result degrades to (lower, upper) bounds.
     """
     if budget < 0:
         raise InvalidInputError(f"node budget must be >= 0, got {budget}")
@@ -786,20 +770,22 @@ def tau_exact(
                               truncated=cs.truncated)
     if count > MAX_EXACT_COPIES:
         raise SizeLimitError(
-            f"exact tau needs a pairwise conflict table; limited to {MAX_EXACT_COPIES} copies, got {count}"
+            f"exact tau lists every copy's conflicts; limited to {MAX_EXACT_COPIES} copies, got {count}"
         )
 
-    conflict_mask = _conflict_masks(items)
+    conflicts = _conflicts(items)
 
-    # deterministic greedy clique, best over all starting copies
+    # deterministic greedy clique, best over all starting copies: each
+    # takes the lowest copy that conflicts with every member so far
+    sets = [set(near) for near in conflicts]
     best_clique: list[int] = []
-    for start in range(count):
+    for start, near in enumerate(conflicts):
         clique = [start]
-        mask = conflict_mask[start]
-        while mask:
-            nxt = (mask & -mask).bit_length() - 1
-            clique.append(nxt)
-            mask &= conflict_mask[nxt]
+        left = sets[start]
+        for j in near:  # ascending, as the members are taken
+            if j in left:
+                clique.append(j)
+                left = left & sets[j]
         if len(clique) > len(best_clique):
             best_clique = clique
     lower = len(best_clique)
@@ -813,7 +799,6 @@ def tau_exact(
 
     anchor = sorted(best_clique)
     rest = [i for i in range(count) if i not in set(anchor)]
-    conflicts = [_bits(mask) for mask in conflict_mask]
 
     assignment = [-1] * count
     groups: list[_Group] = []
@@ -959,10 +944,10 @@ def consistent_sets(x_perms: Sequence[Permutation], t: int) -> ConsistentFamily:
     n = len(x_perms[0])
     if any(len(p) != n for p in x_perms):
         raise InvalidInputError("permutations must share a length")
-    r = 1 << t
     x = len(x_perms)
-    if n < r**x:
-        raise InfeasibleSizeError(f"need n >= r**x = {r**x}, got n = {n}")
+    if n.bit_length() <= t * x:  # n < r**x = 2**(t * x), tested without building r**x
+        raise InfeasibleSizeError(f"need n >= r**x = 2**{t * x}, got n = {n}")
+    r = 1 << t
 
     parts: list[set[int]] = [set(range(n))]
     for _ in range(t):

@@ -120,14 +120,6 @@ class Digraph:
         """Sorted edge keys, out- and in-CSR arrays and degrees, built once per graph."""
         return EdgeIndex.build(self.n, self.edges)
 
-    @cached_property
-    def out_sets(self) -> dict[int, frozenset[int]]:
-        return {v: frozenset(ws) for v, ws in self.out_adj.items()}
-
-    @cached_property
-    def in_sets(self) -> dict[int, frozenset[int]]:
-        return {v: frozenset(ws) for v, ws in self.in_adj.items()}
-
     def isolated_vertices(self) -> tuple[int, ...]:
         touched = set()
         for u, v in self.edges:

@@ -219,11 +219,13 @@ def threshold_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRow]:
             raise InvalidInputError("skew_pipeline mode needs a pattern that is not a rooted star")
         skew = skewness_exact(cfg.pattern)
     rows = []
+    # a fork pool starts all its workers at the first submit
+    workers = min(jobs, cfg.samples)
     for n in cfg.n_values:
         p = cfg.edge_probability(n)
         tasks = [(cfg, n, p, idx, skew) for idx in range(cfg.samples)]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 records = list(pool.map(_sweep_sample, tasks))
         else:
             records = [_sweep_sample(t) for t in tasks]

@@ -43,8 +43,10 @@ def _embed(
     sorted by their sorted edge lists.
     """
     order = _pattern_order(h)
-    h_out = h.out_sets
-    h_in = h.in_sets
+    h_out = h.out_adj
+    h_in = h.in_adj
+    g_out = {v: frozenset(ws) for v, ws in g.out_adj.items()}
+    g_in = {v: frozenset(ws) for v, ws in g.in_adj.items()}
     g_outdeg = {v: len(g.out_adj[v]) for v in range(g.n)}
     g_indeg = {v: len(g.in_adj[v]) for v in range(g.n)}
     need_out = [len(h.out_adj[v]) for v in range(h.n)]
@@ -61,10 +63,10 @@ def _embed(
         sets = []
         for u in h_out[w]:
             if u in mapping:
-                sets.append(g.in_sets[mapping[u]])
+                sets.append(g_in[mapping[u]])
         for u in h_in[w]:
             if u in mapping:
-                sets.append(g.out_sets[mapping[u]])
+                sets.append(g_out[mapping[u]])
         if allowed is not None and allowed[w] is not None:
             sets.append(allowed[w])
         if not sets:

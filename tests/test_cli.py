@@ -133,6 +133,13 @@ def test_consistent_cli(capsys, tmp_path):
     code, _, err = run_cli(capsys, "consistent", str(small), "--t", "1")
     assert code == 3
 
+    # r**x = 2**15000 is never built, nor printed
+    four = tmp_path / "four.txt"
+    four.write_text("0 1 2 3\n3 2 1 0\n1 0 3 2\n")
+    code, out, err = run_cli(capsys, "consistent", str(four), "--t", "5000")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and "2**15000" in err
+
 
 def test_pipeline_cli(capsys, tmp_path):
     host = graph_file(tmp_path, "host.txt", complete(16))

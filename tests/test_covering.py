@@ -14,7 +14,7 @@ from dagcover.covering import (
     Copy,
     CoverSolution,
     TauExactResult,
-    _conflict_masks,
+    _conflicts,
     _Group,
     _reach,
     compatible,
@@ -439,7 +439,7 @@ def test_group_snapshot_matches_fresh_groups(monkeypatch, snapshot_edges):
                 assert fresh.try_add(m.edges)
             union = set().union(*(m.edges for m in members))
             for x, reach in group.desc.items():
-                for y in covering._bits(reach):
+                for y in (y for y in range(reach.bit_length()) if reach >> y & 1):
                     assert not is_dag(Digraph(8, union | {(y, x)})), (x, y)
             for c in copies:
                 want = is_dag(Digraph(8, union | c.edges))
@@ -624,6 +624,18 @@ def test_clique_screen_matches_unscreened_oracle(pattern):
             assert tau_lower_clique(g, pattern, seed, copies=cs) == clique_lower_unscreened(cs, seed)
 
 
+def as_lists(masks: list[int]) -> list[list[int]]:
+    """The set bits of each mask, lowest first."""
+    return [[j for j in range(len(masks)) if mask >> j & 1] for mask in masks]
+
+
+def assert_conflict_lists(conflicts: list[list[int]]) -> None:
+    """Each list ascending without its own index, and the relation symmetric."""
+    for i, near in enumerate(conflicts):
+        assert near == sorted(set(near)) and i not in near, i
+        assert all(i in conflicts[j] for j in near), i
+
+
 def test_conflict_masks_match_dense_oracle():
     # the pair index skips copies sharing fewer than two vertices; the
     # oracle tests every pair with a Kahn peel of the union
@@ -645,7 +657,9 @@ def test_conflict_masks_match_dense_oracle():
     shared = Counter()
     for g, pattern in hosts:
         copies = enumerate_copies(g, pattern).copies
-        assert _conflict_masks(copies) == conflict_masks_dense(copies), (g, pattern)
+        conflicts = _conflicts(copies)
+        assert conflicts == as_lists(conflict_masks_dense(copies)), (g, pattern)
+        assert_conflict_lists(conflicts)
         if pattern.n >= 4:
             shared.update(min(len(a.vertices & b.vertices), 4) for a, b in combinations(copies, 2))
     assert shared[3] and shared[4]
@@ -656,7 +670,18 @@ def test_conflict_masks_four_shared_vertices():
     a = Copy(frozenset(range(4)), frozenset({(0, 1), (2, 3)}))
     b = Copy(frozenset(range(4)), frozenset({(1, 2), (3, 0)}))
     assert not _reach(a) & {(w, u) for u, w in _reach(b)}
-    assert _conflict_masks([a, b]) == conflict_masks_dense([a, b]) == [0b10, 0b01]
+    assert _conflicts([a, b]) == as_lists(conflict_masks_dense([a, b])) == [[1], [0]]
+
+
+def test_conflicts_whole_sweep_host():
+    # recorded with the whole-width bitmasks the lists replaced
+    copies = enumerate_copies(sample_digraph(500, 500**-0.5, 606, 0), T3).copies
+    conflicts = _conflicts(copies)
+    assert_conflict_lists(conflicts)
+    assert len(conflicts) == 11_344
+    assert sum(1 for near in conflicts if near) == 1_463
+    assert sum(map(len, conflicts)) == 2 * 3_001
+    assert max(map(len, conflicts)) == 15
 
 
 def test_reach():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -75,6 +76,41 @@ def test_forked_sweep_draws_on_per_call_thread_pools(monkeypatch):
     monkeypatch.setattr(experiments, "_DRAW_THREADS", 2)
     assert threshold_sweep(cfg) == rows
     assert threshold_sweep(cfg, jobs=2) == rows
+
+
+def test_sweep_pool_never_outnumbers_samples(monkeypatch):
+    # a fork pool starts every worker at its first submit; the stand-in
+    # records the count asked for and runs the samples in this process
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    cfg = SweepConfig(
+        pattern=make_transitive_tournament(3),
+        a_star=Fraction(5, 4),
+        n_values=(30, 60),
+        samples=3,
+        seed=41,
+        mode="dagness",
+    )
+    rows = threshold_sweep(cfg)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+    assert threshold_sweep(cfg, jobs=64) == rows
+    assert asked == [3, 3]
+    assert threshold_sweep(cfg, jobs=1) == rows
+    threshold_sweep(dataclasses.replace(cfg, samples=1), jobs=64)  # one sample runs in process
+    assert asked == [3, 3]
 
 
 def test_sample_undirected_binomial_concentration():
