@@ -75,6 +75,7 @@ from .rng import substream
 from .skewness import Partition, SkewReport, skewness_exact
 
 DEFAULT_COPY_CAP = 10**6
+MAX_HOST_VERTICES = 10**7  # the host's CSR arrays and vertex orders take O(n) memory
 MAX_PATTERN_VERTICES = 10
 MAX_EXACT_COPIES = 512
 
@@ -308,9 +309,12 @@ def enumerate_copies(g: Digraph, h: Digraph, cap: int = DEFAULT_COPY_CAP) -> Cop
     are held, so the search stops soon after a copy beyond the first
     `cap` appears.  A truncated set holds the first `cap` copies in that
     order and is flagged, not an error.  Copies come sorted by their
-    sorted edge lists.
+    sorted edge lists.  Hosts are limited to MAX_HOST_VERTICES declared
+    vertices, isolated ones included.
     """
     _check_pattern(h)
+    if g.n > MAX_HOST_VERTICES:
+        raise SizeLimitError(f"copy enumeration is limited to hosts of {MAX_HOST_VERTICES} vertices, got {g.n}")
     if cap < 0:
         raise InvalidInputError(f"copy cap must be >= 0, got {cap}")
     order = _pattern_order(h)

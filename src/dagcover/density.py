@@ -9,11 +9,15 @@ not per edge, and its min cut at lam = p/q is 2(qm - gain) (see `_cuts`).
 A round builds one network; each root's cut starts from the previous
 root's maximum flow, once two sink arcs change and the new root's sink
 flow goes back to the source (the warm start of parametric max flow,
-Gallo, Grigoriadis and Tarjan 1989).  Which maximum flow is found never
-shows: its value is unique, and so is the maximal min-cut source side
-(Picard and Queyranne 1980).  The test suite checks them against a
-fresh node-per-edge network per root and against subset enumeration
-(`tests/oracles.py`).
+Gallo, Grigoriadis and Tarjan 1989).  Each finished root is bound to
+the sink, as Hao and Orlin (1994) merge finished terminals, so a later
+root's cut ranges only over subsets avoiding the earlier roots: every
+subset is still counted, at the first root it contains, and `_cuts`
+shows why no value, witness or balance flag changes.  Which maximum
+flow is found never shows: its value is unique, and so is the maximal
+min-cut source side (Picard and Queyranne 1980).  The test suite
+checks them against a fresh node-per-edge network per root, bound the
+same way, and against subset enumeration (`tests/oracles.py`).
 
 Both accept directed and undirected graphs; a directed 2-cycle counts
 as two edges.  Isolated vertices never appear in a witness (they only
@@ -221,10 +225,11 @@ def _cuts(
     The gain is q * max over S of [e(S) - lam*|S|] (root None, density)
     or of [e(S) - lam*(|S|-1)] over S containing the root (arboricity:
     the root's sink capacity is zeroed so that the -lam shift applies
-    exactly once).  It is never negative, and the maximal min-cut side
-    is a subset attaining it (None when ``sides`` is false, for callers
-    that read only gains).  Yielded one root at a time, so a caller
-    that only needs a positive gain stops at the first.
+    exactly once), in both cases over S avoiding every earlier root.
+    It is never negative, and the maximal min-cut side is a subset
+    attaining it (None when ``sides`` is false, for callers that read
+    only gains).  Yielded one root at a time, so a caller that only
+    needs a positive gain stops at the first.
 
     Goldberg's vertex network: source -> v (q*deg(v), counting tokens),
     v -> sink (2p; 0 at the root), and u <-> w (q*c each way, c the
@@ -235,15 +240,34 @@ def _cuts(
     gain halves the flow.
 
     One network serves every root.  Moving to the next root, the
-    previous root's sink arc gets 2p back (it carries no flow, so the
-    flow stays feasible) and the new root's sink arc drops to 0.  The f
-    units it carried are now an excess at the root, which always has a
-    residual path back to the source; a spare node with one arc of
-    capacity f into the root sends exactly f back, and max_flow then
-    augments from there.  The answers do not depend on which maximum
-    flow is found: its value is unique, and so is the set of nodes that
-    reach the sink in its residual graph (Picard and Queyranne 1980),
-    whose complement is the maximal source side.
+    previous root is bound to the sink: its sink arc, which carries no
+    flow, gets a capacity above the source's total 2qm, so no min cut
+    puts it on the source side (Hao and Orlin 1994 merge each finished
+    terminal into the sink the same way).  A sink arc only grows, so
+    the flow stays feasible.  The new root's sink arc drops to 0 (a
+    root met again is unbound while it is the root).  The f units it
+    carried are now an excess at the root, which always has a residual
+    path back to the source; a spare node with one arc of capacity f
+    into the root sends exactly f back, and max_flow then augments
+    from there.  The answers do not depend on which maximum flow is
+    found: its value is unique, and so is the set of nodes that reach
+    the sink in its residual graph (Picard and Queyranne 1980), whose
+    complement is the maximal source side.
+
+    Binding changes no answer of `_parametric_max` or
+    `is_totally_balanced`:
+
+    - Every subset S is still counted, at the first root it contains.
+      So the largest gain in a round, the stopping test, the balance
+      test's any(gain > 0) and the final value a* are all unchanged.
+    - An intermediate round may pick a different best subset.  Its gain
+      is still positive, so its ratio is still strictly higher: the
+      no-progress guard holds, and only the number of rounds can change.
+    - At lam = a*, call r* the first root that lies in an optimal set of
+      two or more vertices.  No earlier root lies in any such set, so
+      every optimal set containing r* avoids the earlier roots, and
+      r*'s maximal side, the witness, is the same set as unbound.
+      Each earlier root's side is that root alone, bound or not.
     """
     p, q = lam.numerator, lam.denominator
     k = len(active)
@@ -266,11 +290,12 @@ def _cuts(
     net.add(spare, spare, 0)  # re-aimed at each root; only the spare's list holds it
     to, cap = net.to, net.cap
     qm = q * len(tokens)
+    bind_cap = 2 * qm + 1  # above the source's total capacity, so no min cut pays it
     flow = 0
     zeroed = None  # sink arc of the previous root
     for root in roots:
         if zeroed is not None:
-            cap[zeroed] = 2 * p
+            cap[zeroed] = bind_cap
             zeroed = None
         if root is not None:
             j = index[root]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -219,36 +220,33 @@ def threshold_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRow]:
             raise InvalidInputError("skew_pipeline mode needs a pattern that is not a rooted star")
         skew = skewness_exact(cfg.pattern)
     rows = []
-    # a fork pool starts all its workers at the first submit
+    # a fork pool starts all its workers at the first submit; one pool serves every n
     workers = min(jobs, cfg.samples)
-    for n in cfg.n_values:
-        p = cfg.edge_probability(n)
-        tasks = [(cfg, n, p, idx, skew) for idx in range(cfg.samples)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_sweep_sample, tasks))
-        else:
-            records = [_sweep_sample(t) for t in tasks]
-        ok = [r for r in records if not r["censored"]]
-        censored = cfg.samples - len(ok)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool is not None else map
+        for n in cfg.n_values:
+            p = cfg.edge_probability(n)
+            tasks = [(cfg, n, p, idx, skew) for idx in range(cfg.samples)]
+            records = list(run(_sweep_sample, tasks))
+            ok = [r for r in records if not r["censored"]]
 
-        def mean_of(key: str) -> Optional[float]:
-            vals = [float(r[key]) for r in ok if key in r]
-            return sum(vals) / len(vals) if vals else None
+            def mean_of(key: str) -> Optional[float]:
+                vals = [float(r[key]) for r in ok if key in r]
+                return sum(vals) / len(vals) if vals else None
 
-        rows.append(
-            SweepRow(
-                n=n,
-                p=p,
-                samples=cfg.samples,
-                frac_gh_dag=mean_of("gh_dag"),
-                mean_copies=mean_of("copies"),
-                tau_greedy_mean=mean_of("tau_greedy"),
-                tau_lower_mean=mean_of("tau_lower"),
-                pipeline_success=mean_of("pipeline_ok"),
-                censored=censored,
+            rows.append(
+                SweepRow(
+                    n=n,
+                    p=p,
+                    samples=cfg.samples,
+                    frac_gh_dag=mean_of("gh_dag"),
+                    mean_copies=mean_of("copies"),
+                    tau_greedy_mean=mean_of("tau_greedy"),
+                    tau_lower_mean=mean_of("tau_lower"),
+                    pipeline_success=mean_of("pipeline_ok"),
+                    censored=cfg.samples - len(ok),
+                )
             )
-        )
     return rows
 
 

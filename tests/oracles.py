@@ -18,7 +18,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from dagcover.covering import Copy, CopySet, _pattern_order, enumerate_copies, union_graph
 from dagcover.density import DensityReport, Graph, _Dinic, _active_vertices, _check_input
@@ -378,8 +378,9 @@ def _build_network(
     p: int,
     q: int,
     root: int | None,
+    bound: Collection[int] = (),
 ) -> tuple[_Dinic, int]:
-    """Source -> tokens (cap q) -> endpoints (inf) -> sink (cap p; 0 at root).
+    """Source -> tokens (cap q) -> endpoints (inf) -> sink (cap p; 0 at root, inf if bound).
 
     Token i's source arc is arc 6i; vertex active[j]'s sink arc is arc
     6 * len(tokens) + 2j.
@@ -395,22 +396,25 @@ def _build_network(
         net.add(1 + i, 1 + t_count + index[u], inf)
         net.add(1 + i, 1 + t_count + index[v], inf)
     for v in active:
-        net.add(1 + t_count + index[v], sink, 0 if v == root else p)
+        net.add(1 + t_count + index[v], sink, 0 if v == root else inf if v in bound else p)
     return net, sink
 
 
-def cuts_from_scratch(tokens, active, lam: Fraction, roots) -> list[tuple[int, set[int]]]:
+def cuts_from_scratch(tokens, active, lam: Fraction, roots, bind: bool = True) -> list[tuple[int, set[int]]]:
     """Per root, (gain, maximal source side) as `density._cuts` yields them.
 
     Each root gets its own token network and a max flow from zero; the source
     side is what cannot reach the sink, found over an explicit reverse
-    adjacency list of the residual graph.
+    adjacency list of the residual graph.  With ``bind``, every earlier root
+    other than this one gets an unbounded sink arc, so the cut ranges over
+    the subsets avoiding them; without it, each root's cut stands alone.
     """
     p, q = lam.numerator, lam.denominator
     t_count = len(tokens)
     out = []
-    for root in roots:
-        net, sink = _build_network(tokens, active, p, q, root)
+    for i, root in enumerate(roots):
+        bound = {r for r in roots[:i] if r is not None and r != root} if bind else set()
+        net, sink = _build_network(tokens, active, p, q, root, bound)
         gain = q * t_count - net.max_flow(0, sink)
         rev: list[list[int]] = [[] for _ in range(net.n)]
         for u in range(net.n):

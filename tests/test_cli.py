@@ -252,6 +252,26 @@ def assert_one_line_error(code, err):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_huge_host_exit_3(capsys, tmp_path, monkeypatch):
+    # a host declaring 10^11 vertices is refused before any per-vertex array
+    # is built; the stand-in fails the test instead of allocating one
+    from dagcover import digraph
+
+    def no_arrays(cls, n, edges):
+        raise AssertionError(f"built per-vertex arrays for n = {n}")
+
+    monkeypatch.setattr(digraph.EdgeIndex, "build", classmethod(no_arrays))
+    host = tmp_path / "huge.json"
+    host.write_text('{"n": 100000000000, "edges": [[0, 1]]}')
+    pattern = graph_file(tmp_path, "t3.txt", make_transitive_tournament(3))
+    for argv in (["gh"], ["tau", "--greedy", "--seed", "1"], ["tau", "--bounds", "--seed", "1"], ["tau", "--exact"]):
+        code, out, err = run_cli(capsys, argv[0], str(host), pattern, *argv[1:])
+        assert code == 3 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    code, out, _ = run_cli(capsys, "params", str(host))  # reads only the non-isolated vertices
+    assert code == 0 and out.startswith("a = 1/1 (witness: 0 1)")
+
+
 @pytest.mark.parametrize("flags", [["--trials", "3", "--seed", "1"], ["--seed", "1"], ["--trials", "3"]])
 def test_skewness_exact_rejects_random_flags(capsys, tmp_path, flags):
     path = graph_file(tmp_path, "t4.txt", make_transitive_tournament(4))

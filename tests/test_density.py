@@ -288,6 +288,33 @@ def test_vertex_network_returns_both_ways(monkeypatch):
     assert 0 < calls["returns"] < 2 * calls["moves"]
 
 
+def test_binding_keeps_largest_gain_and_witness():
+    # binding finished roots changes single cuts, but never a round's largest
+    # gain, nor at the optimum the first side of two or more vertices
+    rng = random.Random(75)
+    graphs = [random_digraph(rng, rng.randint(2, 11), rng.choice([0.3, 0.6, 0.9])) for _ in range(40)]
+    graphs += [sample_undirected(rng.randint(3, 11), rng.choice([0.3, 0.6, 0.9]), 75, i) for i in range(20)]
+    two_cycles = changed = improving = 0
+    for g in graphs:
+        if g.edge_count == 0:
+            continue
+        two_cycles += any((v, u) in g.edges for u, v in g.edges)
+        tokens = _check_input(g)
+        active = _active_vertices(tokens)
+        value = densest_subset_enum(g).value
+        for lam in (value, value - Fraction(1, 97), Fraction(rng.randint(1, 30), rng.randint(1, 7))):
+            bound = list(_cuts(tokens, active, lam, active))
+            unbound = cuts_from_scratch(tokens, active, lam, active, bind=False)
+            assert max(gain for gain, _ in bound) == max(gain for gain, _ in unbound), (g, lam)
+            changed += bound != unbound
+            improving += max(gain for gain, _ in bound) > 0
+        first = [next(s for _, s in cuts if len(s) >= 2)
+                 for cuts in (_cuts(tokens, active, value, active),
+                              cuts_from_scratch(tokens, active, value, active, bind=False))]
+        assert first[0] == first[1], g
+    assert two_cycles >= 20 and changed >= 40 and improving >= 40
+
+
 def test_one_network_per_dinkelbach_round(monkeypatch):
     # each _cuts call builds one vertex network: source, sink, spare and a node per active vertex
     networks: list[int] = []

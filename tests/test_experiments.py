@@ -107,10 +107,10 @@ def test_sweep_pool_never_outnumbers_samples(monkeypatch):
     rows = threshold_sweep(cfg)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
     assert threshold_sweep(cfg, jobs=64) == rows
-    assert asked == [3, 3]
+    assert asked == [3]  # one pool for both n values
     assert threshold_sweep(cfg, jobs=1) == rows
     threshold_sweep(dataclasses.replace(cfg, samples=1), jobs=64)  # one sample runs in process
-    assert asked == [3, 3]
+    assert asked == [3]
 
 
 def test_sample_undirected_binomial_concentration():
