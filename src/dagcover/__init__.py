@@ -28,7 +28,6 @@ from .covering import (
 )
 from .density import (
     DensityReport,
-    UndirectedGraph,
     fractional_arboricity,
     is_totally_balanced,
     maximal_density,

@@ -18,6 +18,8 @@ from typing import Optional, Sequence
 
 from . import graphio
 from .covering import (
+    DEFAULT_COPY_CAP,
+    DEFAULT_NODE_BUDGET,
     consistent_sets,
     enumerate_copies,
     skew_witness_pipeline,
@@ -282,7 +284,7 @@ def _parse_sweep_config(text: str) -> SweepConfig:
             samples=_config_int(obj["samples"], "samples"),
             seed=_config_int(obj["seed"], "seed"),
             mode=str(obj["mode"]),
-            cap=_config_int(obj.get("cap", 10**6), "cap"),
+            cap=_config_int(obj.get("cap", DEFAULT_COPY_CAP), "cap"),
             perm_factor=float(perm_factor),
         )
     except KeyError as exc:
@@ -351,15 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--greedy", dest="mode", action="store_const", const="greedy")
     group.add_argument("--bounds", dest="mode", action="store_const", const="bounds")
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int, default=2_000_000)
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--cap", type=int, default=DEFAULT_COPY_CAP)
     add_format(p)
     p.set_defaults(func=_cmd_tau, mode="exact")
 
     p = sub.add_parser("gh", help="union of all copy edge sets, with dagness certificate")
     p.add_argument("host")
     p.add_argument("pattern")
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=DEFAULT_COPY_CAP)
     add_format(p)
     p.set_defaults(func=_cmd_gh)
 

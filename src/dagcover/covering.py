@@ -75,6 +75,7 @@ from .rng import substream
 from .skewness import Partition, SkewReport, skewness_exact
 
 DEFAULT_COPY_CAP = 10**6
+DEFAULT_NODE_BUDGET = 2_000_000
 MAX_HOST_VERTICES = 10**7  # the host's CSR arrays and vertex orders take O(n) memory
 MAX_PATTERN_VERTICES = 10
 MAX_EXACT_COPIES = 512
@@ -743,7 +744,7 @@ def _conflicts(items: Sequence[Copy]) -> list[list[int]]:
 def tau_exact(
     g: Digraph,
     h: Digraph,
-    budget: int = 2_000_000,
+    budget: int = DEFAULT_NODE_BUDGET,
     cap: int = DEFAULT_COPY_CAP,
     copies: Optional[CopySet] = None,
 ) -> TauExactResult:

@@ -19,10 +19,13 @@ min-cut source side (Picard and Queyranne 1980).  The test suite
 checks them against a fresh node-per-edge network per root, bound the
 same way, and against subset enumeration (`tests/oracles.py`).
 
-Both accept directed and undirected graphs; a directed 2-cycle counts
-as two edges.  Isolated vertices never appear in a witness (they only
-inflate the denominator), so the search runs over non-isolated
-vertices; the whole-graph balance ratio m/(n-1) uses the declared n.
+Every function takes a `Digraph`.  The ratios count edges on vertex
+subsets and nothing else, so an undirected graph is passed as any
+orientation of it (`sample_undirected` runs each edge low to high); a
+directed 2-cycle counts as two edges.  Isolated vertices never appear
+in a witness (they only inflate the denominator), so the search runs
+over non-isolated vertices; the whole-graph balance ratio m/(n-1) uses
+the declared n.
 """
 
 from __future__ import annotations
@@ -30,43 +33,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from .digraph import Digraph
 from .errors import InvalidInputError, UndefinedParameterError
-
-
-@dataclass(frozen=True)
-class UndirectedGraph:
-    """Simple undirected graph; edges stored as (u, v) with u < v."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise InvalidInputError(f"vertex count must be >= 0, got {n}")
-        norm = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise InvalidInputError(f"self-loop ({u},{v}) not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidInputError(f"edge ({u},{v}) out of range for n={n}")
-            norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(norm))
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def isolated_vertices(self) -> tuple[int, ...]:
-        touched = {w for e in self.edges for w in e}
-        return tuple(v for v in range(self.n) if v not in touched)
-
-
-Graph = Union[Digraph, UndirectedGraph]
 
 
 @dataclass(frozen=True)
@@ -85,14 +55,14 @@ class DensityReport:
         }
 
 
-def _tokens(g: Graph) -> list[tuple[int, int]]:
+def _tokens(g: Digraph) -> list[tuple[int, int]]:
     """One token per counted edge, sorted for determinism."""
-    if isinstance(g, (Digraph, UndirectedGraph)):
+    if isinstance(g, Digraph):
         return sorted(g.edges)
-    raise InvalidInputError(f"expected Digraph or UndirectedGraph, got {type(g).__name__}")
+    raise InvalidInputError(f"expected a Digraph, got {type(g).__name__}")
 
 
-def _check_input(g: Graph) -> list[tuple[int, int]]:
+def _check_input(g: Digraph) -> list[tuple[int, int]]:
     toks = _tokens(g)
     if g.n < 2:
         raise InvalidInputError("density parameters need at least 2 vertices")
@@ -315,7 +285,7 @@ def _cuts(
             yield gain, None
 
 
-def _parametric_max(g: Graph, kind: str) -> DensityReport:
+def _parametric_max(g: Digraph, kind: str) -> DensityReport:
     """Dinkelbach iteration: lam <- ratio of the subset with the largest gain.
 
     lam starts at the ratio of all non-isolated vertices and rises
@@ -350,17 +320,17 @@ def _parametric_max(g: Graph, kind: str) -> DensityReport:
     return DensityReport(value=value, witness=witness, totally_balanced=value == whole)
 
 
-def fractional_arboricity(g: Graph) -> DensityReport:
+def fractional_arboricity(g: Digraph) -> DensityReport:
     """max over subsets S, |S| >= 2, of e(S)/(|S|-1), with an attaining witness."""
     return _parametric_max(g, "arboricity")
 
 
-def maximal_density(g: Graph) -> DensityReport:
+def maximal_density(g: Digraph) -> DensityReport:
     """max over nonempty subsets S of e(S)/|S|, with an attaining witness."""
     return _parametric_max(g, "density")
 
 
-def is_totally_balanced(g: Graph) -> bool:
+def is_totally_balanced(g: Digraph) -> bool:
     """True iff the fractional arboricity is attained by the whole graph.
 
     Decided with a single strict min-cut test at m/(n-1): the graph is

@@ -20,23 +20,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .covering import (
+    DEFAULT_COPY_CAP,
     enumerate_copies,
     skew_witness_pipeline,
     tau_greedy,
     tau_lower_clique,
     union_graph,
 )
-from .density import (
-    UndirectedGraph,
-    fractional_arboricity,
-    is_totally_balanced,
-)
+from .density import fractional_arboricity
 from .digraph import Digraph, Permutation, is_dag, is_rooted_star
-from .errors import InfeasibleSizeError, InvalidInputError
+from .errors import InfeasibleSizeError, InvalidInputError, SizeLimitError
 from .rng import substream
 from .skewness import SkewReport, skewness_exact
 
 SWEEP_MODES = ("dagness", "tau_stats", "skew_pipeline", "copy_count")
+MAX_CENSUS_H = 256  # one G(256, 1/2) sample's arboricity took 1.8 s on a 2-vCPU machine (h = 128: 0.2 s)
 _DRAW_CHUNK = 1 << 20  # uniforms in flight over all draw threads; the n*n grid is never held whole
 # threads drawing one sample's grid: the usable CPUs, at most 4
 _DRAW_THREADS = min(
@@ -90,18 +88,21 @@ def sample_digraph(n: int, p: float, seed: int, sample_index: int = 0) -> Digrap
     return Digraph._from_trusted(n, edges)
 
 
-def sample_undirected(n: int, p: float, seed: int, sample_index: int = 0) -> UndirectedGraph:
-    """One draw from the undirected model over unordered pairs."""
+def sample_undirected(n: int, p: float, seed: int, sample_index: int = 0) -> Digraph:
+    """One draw from the undirected model over unordered pairs u < v.
+
+    Each kept pair is the edge (u, v), running low to high: the density
+    parameters count edges on vertex subsets only, so this orientation
+    stands for the undirected graph.
+    """
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"edge probability must lie in [0,1], got {p}")
     if n < 0:
         raise InvalidInputError(f"n must be >= 0, got {n}")
     rng = substream(seed, n, sample_index, 1)
     us, vs = np.triu_indices(n, k=1)
-    draws = rng.random(len(us))
-    keep = draws < p
-    edges = [(int(u), int(v)) for u, v in zip(us[keep], vs[keep])]
-    return UndirectedGraph(n, edges)
+    keep = rng.random(len(us)) < p
+    return Digraph._from_trusted(n, frozenset(zip(us[keep].tolist(), vs[keep].tolist())))
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ class SweepConfig:
     samples: int
     seed: int
     mode: str
-    cap: int = 10**6
+    cap: int = DEFAULT_COPY_CAP
     perm_factor: float = 1.0  # skew_pipeline draws floor(perm_factor * log2 n) permutations
 
     def __post_init__(self):
@@ -284,11 +285,16 @@ class CensusResult:
 
 
 def balanced_census(h: int, samples: int, seed: int) -> CensusResult:
-    """Fraction of G(h, 1/2) samples that are totally balanced, plus an a(H) histogram."""
+    """Fraction of G(h, 1/2) samples that are totally balanced, plus an a(H) histogram.
+
+    h is limited to MAX_CENSUS_H, checked before any draw.
+    """
     if h < 2:
         raise InvalidInputError(f"census needs h >= 2, got {h}")
     if samples < 1:
         raise InvalidInputError(f"samples must be >= 1, got {samples}")
+    if h > MAX_CENSUS_H:
+        raise SizeLimitError(f"census is limited to h <= {MAX_CENSUS_H}, got {h}")
     balanced = 0
     isolated = 0
     edgeless = 0
@@ -299,12 +305,12 @@ def balanced_census(h: int, samples: int, seed: int) -> CensusResult:
             edgeless += 1
             isolated += 1
             continue
-        value = fractional_arboricity(g).value
-        histogram[value] = histogram.get(value, 0) + 1
+        report = fractional_arboricity(g)
+        histogram[report.value] = histogram.get(report.value, 0) + 1
         if g.isolated_vertices():
             isolated += 1
             continue
-        if is_totally_balanced(g):
+        if report.totally_balanced:  # without isolated vertices, is_totally_balanced(g)
             balanced += 1
     return CensusResult(
         h=h,

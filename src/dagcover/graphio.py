@@ -9,7 +9,6 @@ permutation per line, space-separated.
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 from .digraph import Digraph, Permutation
 from .errors import InvalidInputError
@@ -77,10 +76,6 @@ def parse_graph_json(text: str) -> Digraph:
     return Digraph(n, pairs)
 
 
-def format_graph_json(g: Digraph) -> str:
-    return json.dumps({"n": g.n, "edges": [list(e) for e in g.sorted_edges]})
-
-
 def parse_graph(text: str) -> Digraph:
     """Accept either format; JSON when the input starts with '{'."""
     stripped = text.lstrip()
@@ -103,7 +98,3 @@ def parse_permutations(text: str) -> list[Permutation]:
     if perms and any(len(p) != len(perms[0]) for p in perms):
         raise InvalidInputError("permutations in one file must share a length")
     return perms
-
-
-def format_permutations(perms: Iterable[Permutation]) -> str:
-    return "".join(" ".join(str(v) for v in p.order) + "\n" for p in perms)

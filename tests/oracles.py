@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Collection, Iterable, Optional, Sequence
 
 from dagcover.covering import Copy, CopySet, _pattern_order, enumerate_copies, union_graph
-from dagcover.density import DensityReport, Graph, _Dinic, _active_vertices, _check_input
+from dagcover.density import DensityReport, _Dinic, _active_vertices, _check_input
 from dagcover.digraph import Digraph, Edge, Permutation, forward_count, is_dag
 from dagcover.errors import InvalidInputError, SizeLimitError
 from dagcover.rng import substream
@@ -316,7 +316,7 @@ def clique_lower_unscreened(cs: CopySet, seed: int) -> int:
     return len(clique)
 
 
-def densest_subset_enum(g: Graph, kind: str = "arboricity") -> DensityReport:
+def densest_subset_enum(g: Digraph, kind: str = "arboricity") -> DensityReport:
     """Brute-force maximum of e(S)/(|S|-1) (arboricity) or e(S)/|S| (density).
 
     Exhaustive over all subsets of the non-isolated vertices via bitmask

@@ -24,6 +24,7 @@ from dagcover.covering import (
 )
 from dagcover.density import fractional_arboricity
 from dagcover.digraph import (
+    Digraph,
     Permutation,
     is_dag,
     is_rooted_star,
@@ -225,11 +226,9 @@ def test_criterion_6c_supercritical_lower_bound():
 def _exact_balanced_probability_h4() -> float:
     pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     good = 0
-    from dagcover.density import UndirectedGraph
-
     for bits in range(1 << 6):
         edges = [pairs[i] for i in range(6) if bits >> i & 1]
-        g = UndirectedGraph(4, edges)
+        g = Digraph(4, edges)
         if not edges or g.isolated_vertices():
             continue
         if densest_subset_enum(g, "arboricity").value == Fraction(len(edges), 3):

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from dagcover import cli, graphio
-from dagcover.digraph import make_directed_path, make_transitive_tournament
+from dagcover.digraph import Digraph, make_directed_path, make_transitive_tournament
 
 
 def run_cli(capsys, *argv):
@@ -270,6 +270,42 @@ def test_huge_host_exit_3(capsys, tmp_path, monkeypatch):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
     code, out, _ = run_cli(capsys, "params", str(host))  # reads only the non-isolated vertices
     assert code == 0 and out.startswith("a = 1/1 (witness: 0 1)")
+
+
+class _Drew(Exception):
+    """Raised by a stand-in for the first random draw past a size check."""
+
+
+def _drew(*args):
+    raise _Drew
+
+
+def test_huge_random_skewness_exit_3(capsys, tmp_path, monkeypatch):
+    # a pattern above the limit is refused before any color is drawn; the
+    # stand-in fails the test instead of drawing 10^11 colors
+    from dagcover import skewness
+
+    monkeypatch.setattr(skewness, "substream", _drew)
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 100000000000, "edges": [[0, 1]]}')
+    code, out, err = run_cli(capsys, "skewness", str(huge), "--random", "--trials", "2", "--seed", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    with pytest.raises(_Drew):  # the limit itself is allowed
+        skewness.skewness_upper_random(Digraph(skewness.MAX_RANDOM_VERTICES, [(0, 1)]), 2, 1)
+
+
+def test_huge_census_exit_3(capsys, monkeypatch):
+    # h above the limit is refused before any draw; the stand-in fails the
+    # test instead of building the h = 200000 pair grid
+    from dagcover import experiments
+
+    monkeypatch.setattr(experiments, "sample_undirected", _drew)
+    code, out, err = run_cli(capsys, "census", "--h", "200000", "--samples", "1", "--seed", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    with pytest.raises(_Drew):  # the limit itself is allowed
+        experiments.balanced_census(experiments.MAX_CENSUS_H, 1, 1)
 
 
 @pytest.mark.parametrize("flags", [["--trials", "3", "--seed", "1"], ["--seed", "1"], ["--trials", "3"]])

@@ -3,12 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dagcover.density import (
-    UndirectedGraph,
-    fractional_arboricity,
-    is_totally_balanced,
-    maximal_density,
-)
+from dagcover.density import fractional_arboricity, is_totally_balanced, maximal_density
 from dagcover import density
 from dagcover.density import _active_vertices, _check_input, _cuts  # the min-cut layer itself
 from dagcover.digraph import Digraph, make_transitive_tournament
@@ -62,14 +57,14 @@ def test_density_t3():
 def test_totally_balanced_families():
     # complete graphs, cycles, trees
     assert is_totally_balanced(make_transitive_tournament(6))
-    cycle = UndirectedGraph(5, [(i, (i + 1) % 5) for i in range(5)])
+    cycle = Digraph(5, [(i, (i + 1) % 5) for i in range(5)])
     assert is_totally_balanced(cycle)
     path = Digraph(4, [(0, 1), (1, 2), (2, 3)])
     assert is_totally_balanced(path)
     assert not is_totally_balanced(figure1_graph())
     # K4 plus a pendant edge: a = 2 > 7/4
     k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-    pendant = UndirectedGraph(5, k4 + [(3, 4)])
+    pendant = Digraph(5, k4 + [(3, 4)])
     assert not is_totally_balanced(pendant)
 
 
@@ -84,6 +79,9 @@ def test_error_cases():
         densest_subset_enum(Digraph(21, [(0, 1)]))
     with pytest.raises(InvalidInputError):
         is_totally_balanced(Digraph(3, [(0, 1)]))  # vertex 2 is isolated
+    for measure in (fractional_arboricity, maximal_density, is_totally_balanced):
+        with pytest.raises(InvalidInputError, match="expected a Digraph"):
+            measure(make_transitive_tournament(3).edges)  # an edge set is not a graph
 
 
 def test_enum_never_returns_edgeless_subset():
@@ -201,7 +199,7 @@ def test_warm_cuts_match_scratch_gnp():
 def test_warm_cuts_zero_a_saturated_sink_arc():
     # K5 at lam = 1/2: every max flow for root 0 saturates all other sink
     # arcs, so moving to root 3 must first send its flow back to the source
-    g = UndirectedGraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    g = Digraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
     tokens = _check_input(g)
     active = _active_vertices(tokens)
     lam = Fraction(1, 2)
@@ -429,7 +427,6 @@ def test_undirected_two_cycle_counting():
     # directed 2-cycle counts as two edges: a({u,v}) = 2
     g = Digraph(2, [(0, 1), (1, 0)])
     assert fractional_arboricity(g).value == 2
-    ug = UndirectedGraph(3, [(0, 1), (1, 2), (0, 2)])
-    assert fractional_arboricity(ug).value == Fraction(3, 2)
-    with pytest.raises(InvalidInputError):
-        UndirectedGraph(2, [(0, 0)])
+    # an undirected triangle, oriented low to high, counts each edge once
+    triangle = Digraph(3, [(0, 1), (1, 2), (0, 2)])
+    assert fractional_arboricity(triangle).value == Fraction(3, 2)

