@@ -55,6 +55,7 @@ from __future__ import annotations
 import gc
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -89,15 +90,44 @@ class Copy:
     edges: frozenset[Edge]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False)
 class CopySet:
+    """The copies of `pattern` in `host`, one row of `keys` each.
+
+    Row i of the [count, e(H)] int64 array `keys` is copy i's edges
+    (u, v) as keys u * n + v, ascending, so in (u, v) order, and the
+    rows are distinct and ascending: 8 * e(H) bytes a copy.  `edges(i)`
+    decodes one row.  `copies` builds the `Copy` objects the first time
+    it is read and keeps them.
+    """
+
     host: Digraph
     pattern: Digraph
-    copies: tuple[Copy, ...]
+    keys: np.ndarray
     truncated: bool
 
     def __len__(self) -> int:
-        return len(self.copies)
+        return len(self.keys)
+
+    def edges(self, i: int) -> list[Edge]:
+        """Copy i's edges, in (u, v) order."""
+        n = self.host.n
+        return [divmod(k, n) for k in self.keys[i].tolist()]
+
+    @cached_property
+    def copies(self) -> tuple[Copy, ...]:
+        """Every copy as a `Copy`, in row order, built on first read and kept."""
+        tails, heads = np.divmod(self.keys, self.host.n)
+        collecting = gc.isenabled()
+        gc.disable()  # the copies hold no cycles; collections here cost about a third of the build
+        try:
+            return tuple(
+                Copy(frozenset(us + vs), frozenset(zip(us, vs)))
+                for us, vs in zip(tails.tolist(), heads.tolist())
+            )
+        finally:
+            if collecting:
+                gc.enable()
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,15 +146,16 @@ class CoverSolution:
     def size(self) -> int:
         return len(self.permutations)
 
-    def covers(self, copies: Sequence[Copy]) -> bool:
+    def covers(self, copies: CopySet) -> bool:
+        """True iff each copy's edges all run forward in its assigned permutation."""
         if len(copies) != len(self.assignment):
             return False
-        positions = [perm.position for perm in self.permutations]
-        for copy, idx in zip(copies, self.assignment):
-            pos = positions[idx]
-            if any(pos[u] >= pos[v] for u, v in copy.edges):
-                return False
-        return True
+        if not self.assignment:
+            return True
+        positions = np.array([perm.position for perm in self.permutations], dtype=np.int64)
+        tails, heads = np.divmod(copies.keys, copies.host.n)
+        at = np.array(self.assignment, dtype=np.int64)[:, None]
+        return bool((positions[at, tails] < positions[at, heads]).all())
 
     def to_json_dict(self) -> dict:
         return {
@@ -309,9 +340,11 @@ def enumerate_copies(g: Digraph, h: Digraph, cap: int = DEFAULT_COPY_CAP) -> Cop
     are deduplicated whenever more than max(cap, twice the copies found)
     are held, so the search stops soon after a copy beyond the first
     `cap` appears.  A truncated set holds the first `cap` copies in that
-    order and is flagged, not an error.  Copies come sorted by their
-    sorted edge lists.  Hosts are limited to MAX_HOST_VERTICES declared
-    vertices, isolated ones included.
+    order and is flagged, not an error.  The set keeps the rows
+    themselves, sorted, so copies come ordered by their sorted edge
+    lists; no `Copy` is built until `CopySet.copies` is read.  Hosts are
+    limited to MAX_HOST_VERTICES declared vertices, isolated ones
+    included.
     """
     _check_pattern(h)
     if g.n > MAX_HOST_VERTICES:
@@ -341,26 +374,14 @@ def enumerate_copies(g: Digraph, h: Digraph, cap: int = DEFAULT_COPY_CAP) -> Cop
             rows, limit = len(found), max(cap, 2 * len(found))
     if not truncated:
         found, truncated = _first_copies(np.concatenate(held), cap)
-    tails, heads = np.divmod(found, n)
-    collecting = gc.isenabled()
-    gc.disable()  # the copies hold no cycles; collections here cost about a third of the call
-    try:
-        copies = tuple(
-            Copy(frozenset(us + vs), frozenset(zip(us, vs)))
-            for us, vs in zip(tails.tolist(), heads.tolist())
-        )
-    finally:
-        if collecting:
-            gc.enable()
-    return CopySet(host=g, pattern=h, copies=copies, truncated=truncated)
+    found.flags.writeable = False
+    return CopySet(host=g, pattern=h, keys=found, truncated=truncated)
 
 
 def union_graph(copyset: CopySet) -> Digraph:
     """The spanning subgraph of the host holding every edge lying in some copy."""
-    edges: set[Edge] = set()
-    for c in copyset.copies:
-        edges |= c.edges
-    return Digraph._from_trusted(copyset.host.n, frozenset(edges))
+    tails, heads = np.divmod(np.unique(copyset.keys), copyset.host.n)
+    return Digraph._from_trusted(copyset.host.n, frozenset(zip(tails.tolist(), heads.tolist())))
 
 
 @dataclass(frozen=True)
@@ -600,12 +621,12 @@ def tau_greedy(
     """First-fit cover: scan copies in seeded random order, first group whose
     union stays acyclic takes the copy, otherwise a new group opens."""
     cs = copies if copies is not None else enumerate_copies(g, h, cap)
-    count = len(cs.copies)
+    count = len(cs)
     scan = substream(seed).permutation(count)
     groups: list[_Group] = []
     assignment = [0] * count
     for i in scan.tolist():
-        edges = cs.copies[i].edges
+        edges = cs.edges(i)
         for gi, group in enumerate(groups):
             if group.try_add(edges):
                 break
@@ -615,7 +636,7 @@ def tau_greedy(
         assignment[i] = gi
     perms = tuple(_extend_to_permutation(cs.host.n, group.order) for group in groups)
     solution = CoverSolution(permutations=perms, assignment=tuple(assignment), truncated=cs.truncated)
-    if not solution.covers(cs.copies):
+    if not solution.covers(cs):
         raise AssertionError("greedy cover failed verification")
     return solution
 
@@ -639,24 +660,20 @@ def tau_lower_clique(
     docstring), so only the others ask the member's group.
     """
     cs = copies if copies is not None else enumerate_copies(g, h, cap)
-    order = [int(i) for i in substream(seed).permutation(len(cs.copies))]
-    if not order:
+    if not len(cs):
         return 0
-    copy_edges = union_graph(cs).edges
-    start = order[0]
-    for i in order:
-        if any((v, u) in copy_edges for u, v in cs.copies[i].edges):
-            start = i
-            break
-    first = cs.copies[start]
-    clique = [(first.vertices, _Group(first.edges))]
-    for i in order:
-        if i == start:
-            continue
-        copy = cs.copies[i]
-        if not any(len(copy.vertices & vertices) < 2 or _fits(member, copy.edges)
-                   for vertices, member in clique):
-            clique.append((copy.vertices, _Group(copy.edges)))
+    scan = substream(seed).permutation(len(cs))
+    n = cs.host.n
+    tails, heads = np.divmod(cs.keys, n)
+    has_reversal = np.isin(heads * n + tails, cs.keys).any(axis=1)
+    starts = scan[has_reversal[scan]]
+    start = int(starts[0] if len(starts) else scan[0])
+    clique: list[tuple[set[int], _Group]] = []
+    for i in [start] + [i for i in scan.tolist() if i != start]:
+        edges = cs.edges(i)
+        vertices = {w for e in edges for w in e}
+        if not any(len(vertices & held) < 2 or _fits(member, edges) for held, member in clique):
+            clique.append((vertices, _Group(edges)))
     return len(clique)
 
 
@@ -889,7 +906,7 @@ def tau_exact(
         perms.append(order)
     solution = CoverSolution(permutations=tuple(perms), assignment=tuple(best_assign),
                              truncated=cs.truncated)
-    if not solution.covers(items):
+    if not solution.covers(cs):
         raise AssertionError("exact cover failed verification")
     return TauExactResult(
         lower=best_size if complete else lower,

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from dagcover import cli, graphio
+from dagcover import cli, covering, graphio
 from dagcover.digraph import Digraph, make_directed_path, make_transitive_tournament
+from dagcover.experiments import sample_digraph
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +192,30 @@ def test_sweep_tau_stats_pinned(capsys, tmp_path):
         "100,0.1,2,,971.0,5.5,2.0,,0\n"
         "300,0.057735026918962574,2,,5148.5,7.0,2.0,,0\n"
     )
+
+
+def test_sweeps_and_cover_commands_build_no_copy(capsys, tmp_path, monkeypatch):
+    # they read the copy set's key rows; only .copies builds Copy objects
+    host = graph_file(tmp_path, "host.txt", sample_digraph(80, 0.2, 606, 0))
+    pattern = graph_file(tmp_path, "t3.txt", make_transitive_tournament(3))
+    commands = [["tau", host, pattern, "--greedy", "--seed", "1", "--format", "json"],
+                ["tau", host, pattern, "--bounds", "--seed", "1", "--format", "json"],
+                ["gh", host, pattern, "--format", "json"]]
+    for mode in ("tau_stats", "dagness", "copy_count"):
+        config = tmp_path / f"{mode}.json"
+        config.write_text(json.dumps({"pattern": "Th 3", "a_star": 2, "n_values": [60, 120],
+                                      "samples": 2, "seed": 606, "mode": mode}))
+        commands.append(["sweep", str(config), "--jobs", "1"])
+    plain = [run_cli(capsys, *argv) for argv in commands]
+    assert all(code == 0 for code, _, _ in plain)
+    assert json.loads(plain[1][1])["upper"] >= 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Copy was built")
+
+    monkeypatch.setattr(covering, "Copy", refuse)
+    for argv, want in zip(commands, plain):
+        assert run_cli(capsys, *argv) == want, argv
 
 
 def test_census_cli(capsys):

@@ -98,12 +98,13 @@ def test_enumerate_restores_the_collector(monkeypatch):
     try:
         for on in (True, False):
             gc.enable() if on else gc.disable()
-            assert len(enumerate_copies(host, T3)) == 4
+            assert len(enumerate_copies(host, T3).copies) == 4
             assert gc.isenabled() is on
             with monkeypatch.context() as m:
                 m.setattr(covering, "Copy", refuse)
+                cs = enumerate_copies(host, T3)
                 with pytest.raises(RuntimeError, match="no copy"):
-                    enumerate_copies(host, T3)
+                    _ = cs.copies
             assert gc.isenabled() is on
     finally:
         gc.enable() if was else gc.disable()
@@ -147,6 +148,15 @@ def test_join_matches_backtracking_oracle(monkeypatch, block):
                 want, truncated = _embed(g, h, cap)
                 assert list(cs.copies) == want, (g, name, cap)
                 assert cs.truncated == truncated, (g, name, cap)
+                # each row strictly ascending; the rows distinct, ascending
+                # as the copies are listed, and decoding to those copies
+                keys = cs.keys
+                assert keys.shape == (len(cs), h.edge_count) and len(cs) == len(keys)
+                assert (keys[:, 1:] > keys[:, :-1]).all(), (g, name, cap)
+                rows = keys.tolist()
+                assert all(a < b for a, b in zip(rows, rows[1:])), (g, name, cap)
+                for i, copy in enumerate(cs.copies):
+                    assert cs.edges(i) == sorted(copy.edges), (g, name, cap)
                 seen["truncated"] += truncated
             # random allowed sets: the first embedding is the search's first
             blocks = [[v] for v in range(h.n)]
@@ -495,7 +505,7 @@ def test_group_snapshot_rule(monkeypatch):
 def test_tau_greedy():
     sol = tau_greedy(complete_digraph(3), T3, seed=1)
     assert sol.size >= 2
-    assert sol.covers(enumerate_copies(complete_digraph(3), T3).copies)
+    assert sol.covers(enumerate_copies(complete_digraph(3), T3))
 
     t5 = make_transitive_tournament(5)
     sol1 = tau_greedy(t5, T3, seed=9)
@@ -503,6 +513,21 @@ def test_tau_greedy():
 
     empty = tau_greedy(Digraph(3, [(0, 1)]), T3, seed=0)
     assert empty.size == 0 and empty.assignment == ()
+
+
+def test_greedy_verifies_its_cover(monkeypatch):
+    # the first group's order reversed puts its copies' edges backward
+    extend = covering._extend_to_permutation
+    calls = []
+
+    def reverse_first(n, prefix):
+        calls.append(prefix)
+        return extend(n, prefix[::-1] if len(calls) == 1 else prefix)
+
+    monkeypatch.setattr(covering, "_extend_to_permutation", reverse_first)
+    with pytest.raises(AssertionError, match="greedy cover failed verification"):
+        tau_greedy(complete_digraph(4), T3, seed=1)
+    assert len(calls) > 1
 
 
 def test_tau_lower_clique_edges():
@@ -522,7 +547,7 @@ def test_tau_greedy_deterministic():
 def test_tau_exact_examples():
     res = tau_exact(complete_digraph(3), T3)
     assert res.exact and res.value == 6
-    assert res.solution.covers(enumerate_copies(complete_digraph(3), T3).copies)
+    assert res.solution.covers(enumerate_copies(complete_digraph(3), T3))
 
     assert tau_exact(make_transitive_tournament(6), T3).value == 1
     assert tau_exact(complete_digraph(4), T3).value == perm_cover_minimum(
