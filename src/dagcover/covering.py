@@ -52,7 +52,6 @@ but reach no pair in opposite directions.
 
 from __future__ import annotations
 
-import gc
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -96,9 +95,9 @@ class CopySet:
 
     Row i of the [count, e(H)] int64 array `keys` is copy i's edges
     (u, v) as keys u * n + v, ascending, so in (u, v) order, and the
-    rows are distinct and ascending: 8 * e(H) bytes a copy.  `edges(i)`
-    decodes one row.  `copies` builds the `Copy` objects the first time
-    it is read and keeps them.
+    rows are distinct and ascending: 8 * e(H) bytes a copy.  The library
+    reads only the rows; `edges(i)` decodes one.  `copies` builds the
+    `Copy` objects the first time it is read and keeps them.
     """
 
     host: Digraph
@@ -118,16 +117,10 @@ class CopySet:
     def copies(self) -> tuple[Copy, ...]:
         """Every copy as a `Copy`, in row order, built on first read and kept."""
         tails, heads = np.divmod(self.keys, self.host.n)
-        collecting = gc.isenabled()
-        gc.disable()  # the copies hold no cycles; collections here cost about a third of the build
-        try:
-            return tuple(
-                Copy(frozenset(us + vs), frozenset(zip(us, vs)))
-                for us, vs in zip(tails.tolist(), heads.tolist())
-            )
-        finally:
-            if collecting:
-                gc.enable()
+        return tuple(
+            Copy(frozenset(us + vs), frozenset(zip(us, vs)))
+            for us, vs in zip(tails.tolist(), heads.tolist())
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -705,10 +698,10 @@ class _Budget(Exception):
     pass
 
 
-def _reach(copy: Copy) -> set[Edge]:
-    """The pairs (a, b) such that the copy has a path from a to b."""
+def _reach(edges: Iterable[Edge]) -> set[Edge]:
+    """The pairs (a, b) such that one copy's edges hold a path from a to b."""
     out: dict[int, list[int]] = {}
-    for u, v in copy.edges:
+    for u, v in edges:
         out.setdefault(u, []).append(v)
     pairs: set[Edge] = set()
     for a in out:
@@ -723,19 +716,20 @@ def _reach(copy: Copy) -> set[Edge]:
     return pairs
 
 
-def _conflicts(items: Sequence[Copy]) -> list[list[int]]:
+def _conflicts(items: Sequence[Collection[Edge]]) -> list[list[int]]:
     """Entry i lists, ascending, the copies that cannot share a group with copy i.
 
-    Copies i and j conflict when one reaches b from a and the other
-    reaches a from b, found in an index of every copy's reachable pairs:
-    the copies under (a, b) conflict with those under (b, a).  That test
-    is exact for copies sharing at most three vertices (see the module
-    docstring), so only the later copies sharing four or more vertices
-    and not listed yet are tested, on a one-copy group.
+    Copy i's edges are items[i].  Copies i and j conflict when one
+    reaches b from a and the other reaches a from b, found in an index
+    of every copy's reachable pairs: the copies under (a, b) conflict
+    with those under (b, a).  That test is exact for copies sharing at
+    most three vertices (see the module docstring), so only the later
+    copies sharing four or more vertices and not listed yet are tested,
+    on a one-copy group.
     """
     by_pair: dict[Edge, list[int]] = {}
-    for i, c in enumerate(items):
-        for pair in _reach(c):
+    for i, edges in enumerate(items):
+        for pair in _reach(edges):
             by_pair.setdefault(pair, []).append(i)
     sets: list[set[int]] = [set() for _ in items]
     for (a, b), holders in by_pair.items():
@@ -743,16 +737,17 @@ def _conflicts(items: Sequence[Copy]) -> list[list[int]]:
         if opposite:
             for i in holders:
                 sets[i].update(opposite)
-    if any(len(c.vertices) >= 4 for c in items):
+    vertices = [{w for e in edges for w in e} for edges in items]
+    if any(len(held) >= 4 for held in vertices):
         by_vertex: dict[int, list[int]] = {}
-        for i, c in enumerate(items):
-            for w in c.vertices:
+        for i, held in enumerate(vertices):
+            for w in held:
                 by_vertex.setdefault(w, []).append(i)
-        for i, c in enumerate(items):
-            shared = Counter(j for w in c.vertices for j in by_vertex[w] if j > i)
-            alone = _Group(c.edges)
+        for i, held in enumerate(vertices):
+            shared = Counter(j for w in held for j in by_vertex[w] if j > i)
+            alone = _Group(items[i])
             for j in sorted(j for j, k in shared.items() if k >= 4 and j not in sets[i]):
-                if not _fits(alone, items[j].edges):
+                if not _fits(alone, items[j]):
                     sets[i].add(j)
                     sets[j].add(i)
     return [sorted(near) for near in sets]
@@ -784,8 +779,7 @@ def tau_exact(
     if budget < 0:
         raise InvalidInputError(f"node budget must be >= 0, got {budget}")
     cs = copies if copies is not None else enumerate_copies(g, h, cap)
-    items = cs.copies
-    count = len(items)
+    count = len(cs)
     if count == 0:
         empty = CoverSolution(permutations=(), assignment=(), truncated=cs.truncated)
         return TauExactResult(lower=0, upper=0, exact=not cs.truncated, solution=empty, nodes=0,
@@ -795,6 +789,7 @@ def tau_exact(
             f"exact tau lists every copy's conflicts; limited to {MAX_EXACT_COPIES} copies, got {count}"
         )
 
+    items = [cs.edges(i) for i in range(count)]
     conflicts = _conflicts(items)
 
     # deterministic greedy clique, best over all starting copies: each
@@ -820,7 +815,8 @@ def tau_exact(
                               nodes=0, truncated=cs.truncated)
 
     anchor = sorted(best_clique)
-    rest = [i for i in range(count) if i not in set(anchor)]
+    pinned = set(anchor)
+    rest = [i for i in range(count) if i not in pinned]
 
     assignment = [-1] * count
     groups: list[_Group] = []
@@ -830,7 +826,7 @@ def tau_exact(
     blocked = [0] * count
 
     def open_group(first: int) -> None:
-        groups.append(_Group(items[first].edges))
+        groups.append(_Group(items[first]))
         row = [0] * count
         for j in conflicts[first]:
             row[j] = 1
@@ -864,7 +860,7 @@ def tau_exact(
         # most constrained copy first: the first with the most blocked groups
         i = max(remaining, key=blocked.__getitem__)
         pick_at = remaining.index(i)
-        edges = items[i].edges
+        edges = items[i]
         near = conflicts[i]
         others = remaining[:pick_at] + remaining[pick_at + 1:]
         for gi in range(used):
@@ -898,10 +894,10 @@ def tau_exact(
 
     unions: list[set[Edge]] = [set() for _ in range(best_size)]
     for idx, gi in enumerate(best_assign):
-        unions[gi] |= items[idx].edges
+        unions[gi].update(items[idx])
     perms = []
     for union in unions:
-        order = topological_order(Digraph._from_trusted(g.n, frozenset(union)))
+        order = topological_order(Digraph._from_trusted(cs.host.n, frozenset(union)))
         assert order is not None
         perms.append(order)
     solution = CoverSolution(permutations=tuple(perms), assignment=tuple(best_assign),
@@ -1061,9 +1057,10 @@ def skew_witness_pipeline(
     report = skew if skew is not None else skewness_exact(h)
     if not x_perms:
         cs = enumerate_copies(g, h, cap)
-        if not cs.copies:
+        if not len(cs):
             return None
-        return cs.copies[0], ()
+        edges = cs.edges(0)
+        return Copy(frozenset(w for e in edges for w in e), frozenset(edges)), ()
     if any(len(p) != g.n for p in x_perms):
         raise InvalidInputError("permutations must cover the host's vertex set")
     k = len(report.witness_coloring.blocks)

@@ -33,9 +33,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .digraph import Digraph
+from .digraph import Digraph, Edge
 from .errors import InvalidInputError, UndefinedParameterError
 
 
@@ -55,27 +55,22 @@ class DensityReport:
         }
 
 
-def _tokens(g: Digraph) -> list[tuple[int, int]]:
-    """One token per counted edge, sorted for determinism."""
-    if isinstance(g, Digraph):
-        return sorted(g.edges)
-    raise InvalidInputError(f"expected a Digraph, got {type(g).__name__}")
-
-
-def _check_input(g: Digraph) -> list[tuple[int, int]]:
-    toks = _tokens(g)
+def _check_input(g: Digraph) -> tuple[Edge, ...]:
+    """The graph's edges, sorted for determinism: one token per counted edge."""
+    if not isinstance(g, Digraph):
+        raise InvalidInputError(f"expected a Digraph, got {type(g).__name__}")
     if g.n < 2:
         raise InvalidInputError("density parameters need at least 2 vertices")
-    if not toks:
+    if not g.edges:
         raise UndefinedParameterError("density parameters are undefined for edgeless graphs")
-    return toks
+    return g.sorted_edges
 
 
-def _active_vertices(tokens: list[tuple[int, int]]) -> list[int]:
+def _active_vertices(tokens: Sequence[Edge]) -> list[int]:
     return sorted({w for e in tokens for w in e})
 
 
-def _count_within(tokens: list[tuple[int, int]], subset: set[int]) -> int:
+def _count_within(tokens: Sequence[Edge], subset: set[int]) -> int:
     return sum(1 for u, v in tokens if u in subset and v in subset)
 
 
@@ -184,7 +179,7 @@ class _Dinic:
 
 
 def _cuts(
-    tokens: list[tuple[int, int]],
+    tokens: Sequence[Edge],
     active: list[int],
     lam: Fraction,
     roots: Iterable[int | None],

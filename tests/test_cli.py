@@ -197,10 +197,14 @@ def test_sweep_tau_stats_pinned(capsys, tmp_path):
 def test_sweeps_and_cover_commands_build_no_copy(capsys, tmp_path, monkeypatch):
     # they read the copy set's key rows; only .copies builds Copy objects
     host = graph_file(tmp_path, "host.txt", sample_digraph(80, 0.2, 606, 0))
+    small = graph_file(tmp_path, "small.txt", sample_digraph(8, 0.45, 24))  # 25 T3 copies
+    over = graph_file(tmp_path, "d10.txt", complete(10))  # 720 T3 copies, above MAX_EXACT_COPIES
     pattern = graph_file(tmp_path, "t3.txt", make_transitive_tournament(3))
     commands = [["tau", host, pattern, "--greedy", "--seed", "1", "--format", "json"],
                 ["tau", host, pattern, "--bounds", "--seed", "1", "--format", "json"],
-                ["gh", host, pattern, "--format", "json"]]
+                ["gh", host, pattern, "--format", "json"],
+                ["tau", small, pattern, "--exact"],
+                ["tau", small, pattern, "--exact", "--format", "json"]]
     for mode in ("tau_stats", "dagness", "copy_count"):
         config = tmp_path / f"{mode}.json"
         config.write_text(json.dumps({"pattern": "Th 3", "a_star": 2, "n_values": [60, 120],
@@ -209,6 +213,11 @@ def test_sweeps_and_cover_commands_build_no_copy(capsys, tmp_path, monkeypatch):
     plain = [run_cli(capsys, *argv) for argv in commands]
     assert all(code == 0 for code, _, _ in plain)
     assert json.loads(plain[1][1])["upper"] >= 2
+    assert json.loads(plain[4][1])["exact"] is True
+    commands.append(["tau", over, pattern, "--exact"])
+    plain.append(run_cli(capsys, *commands[-1]))
+    code, out, err = plain[-1]
+    assert code == 3 and out == "" and err.count("\n") == 1 and "limited to 512 copies" in err
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Copy was built")

@@ -1,5 +1,4 @@
 import copy
-import gc
 import hashlib
 import pickle
 import random
@@ -86,28 +85,6 @@ def test_enumerate_copy_structure():
         assert c.edges <= cs.host.edges
         assert len(c.edges) == 3 and len(c.vertices) == 3
     assert len({c.edges for c in cs.copies}) == len(cs)
-
-
-def test_enumerate_restores_the_collector(monkeypatch):
-    def refuse(*args):
-        assert not gc.isenabled()  # paused while the copies are built
-        raise RuntimeError("no copy")
-
-    host = make_transitive_tournament(4)
-    was = gc.isenabled()
-    try:
-        for on in (True, False):
-            gc.enable() if on else gc.disable()
-            assert len(enumerate_copies(host, T3).copies) == 4
-            assert gc.isenabled() is on
-            with monkeypatch.context() as m:
-                m.setattr(covering, "Copy", refuse)
-                cs = enumerate_copies(host, T3)
-                with pytest.raises(RuntimeError, match="no copy"):
-                    _ = cs.copies
-            assert gc.isenabled() is on
-    finally:
-        gc.enable() if was else gc.disable()
 
 
 def test_enumerate_cap_truncates():
@@ -570,6 +547,18 @@ def test_tau_exact_budget_degrades_to_bounds():
     assert res.lower <= full.value <= res.upper
 
 
+def test_tau_exact_refuses_before_building_copies(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Copy was built")
+
+    d10 = complete_digraph(10)
+    cs = enumerate_copies(d10, T3)
+    assert len(cs) == 720 > covering.MAX_EXACT_COPIES
+    monkeypatch.setattr(covering, "Copy", refuse)
+    with pytest.raises(SizeLimitError, match="limited to 512 copies, got 720"):
+        tau_exact(d10, T3, copies=cs)
+
+
 def test_truncated_copy_set_is_never_exact():
     k6 = complete_digraph(6)  # 120 T3 copies, tau >= 6
     res = tau_exact(k6, T3, cap=2)
@@ -681,8 +670,9 @@ def test_conflict_masks_match_dense_oracle():
         hosts += [(random_digraph(rng, 7, 0.5), pattern) for _ in range(3)]
     shared = Counter()
     for g, pattern in hosts:
-        copies = enumerate_copies(g, pattern).copies
-        conflicts = _conflicts(copies)
+        cs = enumerate_copies(g, pattern)
+        copies = cs.copies
+        conflicts = _conflicts([cs.edges(i) for i in range(len(cs))])
         assert conflicts == as_lists(conflict_masks_dense(copies)), (g, pattern)
         assert_conflict_lists(conflicts)
         if pattern.n >= 4:
@@ -694,14 +684,14 @@ def test_conflict_masks_four_shared_vertices():
     # a 4-cycle through both copies, with no pair reached in opposite directions
     a = Copy(frozenset(range(4)), frozenset({(0, 1), (2, 3)}))
     b = Copy(frozenset(range(4)), frozenset({(1, 2), (3, 0)}))
-    assert not _reach(a) & {(w, u) for u, w in _reach(b)}
-    assert _conflicts([a, b]) == as_lists(conflict_masks_dense([a, b])) == [[1], [0]]
+    assert not _reach(a.edges) & {(w, u) for u, w in _reach(b.edges)}
+    assert _conflicts([a.edges, b.edges]) == as_lists(conflict_masks_dense([a, b])) == [[1], [0]]
 
 
 def test_conflicts_whole_sweep_host():
     # recorded with the whole-width bitmasks the lists replaced
-    copies = enumerate_copies(sample_digraph(500, 500**-0.5, 606, 0), T3).copies
-    conflicts = _conflicts(copies)
+    cs = enumerate_copies(sample_digraph(500, 500**-0.5, 606, 0), T3)
+    conflicts = _conflicts([cs.edges(i) for i in range(len(cs))])
     assert_conflict_lists(conflicts)
     assert len(conflicts) == 11_344
     assert sum(1 for near in conflicts if near) == 1_463
@@ -710,13 +700,10 @@ def test_conflicts_whole_sweep_host():
 
 
 def test_reach():
-    def whole(pattern):
-        return Copy(frozenset(range(pattern.n)), pattern.edges)
-
-    assert _reach(whole(P3)) == {(0, 1), (1, 2), (0, 2)}
-    assert _reach(whole(T3)) == T3.edges
+    assert _reach(P3.sorted_edges) == {(0, 1), (1, 2), (0, 2)}
+    assert _reach(T3.sorted_edges) == T3.edges
     diamond = Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    assert _reach(whole(diamond)) == diamond.edges | {(0, 3)}
+    assert _reach(diamond.sorted_edges) == diamond.edges | {(0, 3)}
 
 
 # (pattern, draw, tau, nodes, solution digest), recorded before the sparse
@@ -858,6 +845,20 @@ def test_pipeline_empty_x():
     assert result is not None
     copy, profile = result
     assert profile == () and len(copy.edges) == 3
+
+
+def test_pipeline_without_permutations_builds_one_copy(monkeypatch):
+    host = complete_digraph(6)  # 120 T3 copies
+    want = enumerate_copies(host, T3).copies[0]
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(Copy(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(covering, "Copy", counting)
+    assert skew_witness_pipeline(host, T3, []) == (want, ())
+    assert len(built) == 1
 
 
 def test_pipeline_rejects_rooted_star():
