@@ -14,7 +14,6 @@ from .covering import (
     CoverSolution,
     TauExactResult,
     TauOneResult,
-    compatible,
     consistent_sets,
     enumerate_copies,
     find_consistent_copy,

@@ -27,10 +27,9 @@ inserts a copy's edges in one pass that keeps the order topological and
 also finds any cycle they close; a copy that closes one is taken back
 out exactly, and the group stays as it was.  It decides every
 copy-family question: the greedy cover and the exact search build their
-groups with it, the clique lower bound keeps one group per member,
-`compatible` grows one group, and the exact search's conflict lists
-ask a one-copy group about the pairs their lookup cannot decide (below);
-those two probes remove a copy that went in.
+groups with it, the clique lower bound keeps one group per member, and
+the conflict relation asks a one-copy group about the pairs its join
+cannot decide (below); those two probes remove a copy that went in.
 A group of _SNAPSHOT_EDGES or more edges also keeps a reachability
 snapshot, taken again each time the union grows by a quarter: a path
 it saw survives every later add, so it rejects copies without a
@@ -43,18 +42,21 @@ all shared, and each stretch between two switches is a path inside one
 copy, so a reachable pair of that copy.  When the copies share at most
 three vertices, 2k = 2: one copy reaches b from a and the other reaches
 a from b.  Conversely, two such paths make a closed walk in the union,
-so a cycle.  The conflict lists (`_conflicts`) decide such pairs by
-looking up reachable pairs, and test only the copies sharing four or
-more vertices with a group.  The lookup alone would miss some of
-those: the copies {(0, 1), (2, 3)} and {(1, 2), (3, 0)} close a 4-cycle
-but reach no pair in opposite directions.
+so a cycle.  The conflict relation (`_conflicts`) decides such pairs
+from the key rows in numpy: an h-bit closure of each row gives its
+reachable pairs, and a join of each pair key a * n + b against the
+reversed keys pairs up the copies reaching opposite ways.  Only the
+pairs sharing four or more vertices that it leaves apart, found by the
+same join over vertex keys, are tested on a group.  The pair join
+misses some: the copies {(0, 1), (2, 3)} and {(1, 2), (3, 0)} close a
+4-cycle but reach no pair in opposite directions.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -275,8 +277,11 @@ def _join(
     _JOIN_BLOCK candidates plus one row's, and a stack finishes each
     chunk depth first, so the join holds O(h^2 * (_JOIN_BLOCK + n))
     integers whatever the number of partial embeddings, and a caller
-    that stops reading stops the search.
+    that stops reading stops the search.  A host of more than
+    MAX_HOST_VERTICES vertices is refused before its arrays are built.
     """
+    if g.n > MAX_HOST_VERTICES:
+        raise SizeLimitError(f"copy enumeration is limited to hosts of {MAX_HOST_VERTICES} vertices, got {g.n}")
     index = g.index
     at = {w: d for d, w in enumerate(order)}
     steps = []
@@ -340,8 +345,6 @@ def enumerate_copies(g: Digraph, h: Digraph, cap: int = DEFAULT_COPY_CAP) -> Cop
     included.
     """
     _check_pattern(h)
-    if g.n > MAX_HOST_VERTICES:
-        raise SizeLimitError(f"copy enumeration is limited to hosts of {MAX_HOST_VERTICES} vertices, got {g.n}")
     if cap < 0:
         raise InvalidInputError(f"copy cap must be >= 0, got {cap}")
     order = _pattern_order(h)
@@ -581,12 +584,6 @@ class _Group:
             self.snapshot_at = len(self.count) * 5 // 4
 
 
-def compatible(copies: Iterable[Copy]) -> bool:
-    """True iff one permutation can cover all given copies (acyclic edge union)."""
-    group = _Group()
-    return all(group.try_add(c.edges) for c in copies)
-
-
 def _fits(group: _Group, edges: Collection[Edge]) -> bool:
     """True iff `edges` could join `group`, which keeps only what it held."""
     if group.try_add(edges):
@@ -698,59 +695,56 @@ class _Budget(Exception):
     pass
 
 
-def _reach(edges: Iterable[Edge]) -> set[Edge]:
-    """The pairs (a, b) such that one copy's edges hold a path from a to b."""
-    out: dict[int, list[int]] = {}
-    for u, v in edges:
-        out.setdefault(u, []).append(v)
-    pairs: set[Edge] = set()
-    for a in out:
-        seen: set[int] = set()
-        stack = [a]
-        while stack:
-            for b in out.get(stack.pop(), ()):
-                if b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        pairs.update((a, b) for b in seen)
-    return pairs
+def _equal_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j) with a[i] == b[j], ascending in i."""
+    at = np.argsort(b, kind="stable")
+    ordered = b[at]
+    lo = np.searchsorted(ordered, a, "left")
+    hits = np.searchsorted(ordered, a, "right") - lo
+    i = np.repeat(np.arange(len(a)), hits)
+    return i, at[np.arange(len(i)) - np.repeat(np.cumsum(hits) - hits - lo, hits)]
 
 
-def _conflicts(items: Sequence[Collection[Edge]]) -> list[list[int]]:
+def _conflicts(cs: CopySet) -> list[list[int]]:
     """Entry i lists, ascending, the copies that cannot share a group with copy i.
 
-    Copy i's edges are items[i].  Copies i and j conflict when one
-    reaches b from a and the other reaches a from b, found in an index
-    of every copy's reachable pairs: the copies under (a, b) conflict
-    with those under (b, a).  That test is exact for copies sharing at
-    most three vertices (see the module docstring), so only the later
-    copies sharing four or more vertices and not listed yet are tested,
-    on a one-copy group.
+    Read from the key rows (see the module docstring): a row's h
+    vertices, ascending, are its local ids, and reach[i, a] masks the
+    local ids that a reaches in row i.  The relation can be quadratic
+    in the copies, so the library builds it only within MAX_EXACT_COPIES.
     """
-    by_pair: dict[Edge, list[int]] = {}
-    for i, edges in enumerate(items):
-        for pair in _reach(edges):
-            by_pair.setdefault(pair, []).append(i)
-    sets: list[set[int]] = [set() for _ in items]
-    for (a, b), holders in by_pair.items():
-        opposite = by_pair.get((b, a))
-        if opposite:
-            for i in holders:
-                sets[i].update(opposite)
-    vertices = [{w for e in edges for w in e} for edges in items]
-    if any(len(held) >= 4 for held in vertices):
-        by_vertex: dict[int, list[int]] = {}
-        for i, held in enumerate(vertices):
-            for w in held:
-                by_vertex.setdefault(w, []).append(i)
-        for i, held in enumerate(vertices):
-            shared = Counter(j for w in held for j in by_vertex[w] if j > i)
-            alone = _Group(items[i])
-            for j in sorted(j for j, k in shared.items() if k >= 4 and j not in sets[i]):
-                if not _fits(alone, items[j]):
-                    sets[i].add(j)
-                    sets[j].add(i)
-    return [sorted(near) for near in sets]
+    count, n, h = len(cs), cs.host.n, cs.pattern.n
+    tails, heads = np.divmod(cs.keys, n)
+    ends = np.sort(np.concatenate([tails, heads], axis=1), axis=1)
+    first = np.ones(ends.shape, dtype=bool)
+    first[:, 1:] = ends[:, 1:] != ends[:, :-1]
+    verts = ends[first].reshape(count, h)
+    # an end's local id counts the row's vertices below it
+    lt, lh = (np.stack([tails, heads])[..., None] > verts[:, None, :]).sum(axis=3)
+    reach = np.zeros((count, h), dtype=np.int64)
+    np.bitwise_or.at(reach, (np.arange(count)[:, None], lt), 1 << lh)
+    for k in range(h):
+        reach |= (reach >> k & 1) * reach[:, k:k + 1]
+    row, a, b = np.nonzero(reach[:, :, None] >> np.arange(h) & 1)
+    ta, tb = verts[row, a], verts[row, b]
+    p, q = _equal_pairs(ta * n + tb, tb * n + ta)
+    codes = row[p] * count + row[q]  # copies i and j in conflict, as i * count + j
+    if h >= 4:
+        p, q = _equal_pairs(verts.ravel(), verts.ravel())
+        p, q = p // h, q // h
+        shared, times = np.unique((p * count + q)[p < q], return_counts=True)
+        probe = shared[(times >= 4) & ~np.isin(shared, codes)].tolist()
+        hit = []
+        for i, pairs in groupby(probe, key=lambda code: code // count):
+            alone = _Group(cs.edges(i))
+            hit += [code for code in pairs if not _fits(alone, cs.edges(code % count))]
+        found = np.array(hit, dtype=np.int64)
+        codes = np.concatenate([codes, found, found % count * count + found // count])
+    codes = np.sort(codes)  # not np.unique, whose first call adds about 1.5 MB to peak RSS
+    codes = codes[np.diff(codes, prepend=-1) > 0]
+    flat = (codes % count).tolist()
+    cuts = np.cumsum(np.bincount(codes // count, minlength=count)).tolist()
+    return [flat[lo:hi] for lo, hi in zip([0] + cuts, cuts)]
 
 
 def tau_exact(
@@ -770,11 +764,11 @@ def tau_exact(
     a member it conflicts with, so the fewest open groups left to try.
     Blocked counts are kept up to date as copies join and leave groups
     and groups open and close, not recounted at every node.  The clique
-    and the blocked counts read the conflict lists of `_conflicts`:
-    lookups of each copy's reachable pairs, with a group test only for
-    copies sharing four or more vertices (see the module docstring).
-    If the node budget runs out, or the copy set is truncated, the
-    result degrades to (lower, upper) bounds.
+    and the blocked counts read the conflict lists of `_conflicts`,
+    joined from the key rows (see the module docstring); rows become
+    edge lists only for the search, when greedy does not meet the
+    clique.  If the node budget runs out, or the copy set is truncated,
+    the result degrades to (lower, upper) bounds.
     """
     if budget < 0:
         raise InvalidInputError(f"node budget must be >= 0, got {budget}")
@@ -789,8 +783,7 @@ def tau_exact(
             f"exact tau lists every copy's conflicts; limited to {MAX_EXACT_COPIES} copies, got {count}"
         )
 
-    items = [cs.edges(i) for i in range(count)]
-    conflicts = _conflicts(items)
+    conflicts = _conflicts(cs)
 
     # deterministic greedy clique, best over all starting copies: each
     # takes the lowest copy that conflicts with every member so far
@@ -813,6 +806,8 @@ def tau_exact(
     if lower == best_size:
         return TauExactResult(lower=lower, upper=best_size, exact=not cs.truncated, solution=greedy,
                               nodes=0, truncated=cs.truncated)
+
+    items = [cs.edges(i) for i in range(count)]
 
     anchor = sorted(best_clique)
     pinned = set(anchor)
@@ -1028,6 +1023,12 @@ def find_consistent_copy(
     for i, block in enumerate(coloring.blocks):
         for v in block:
             allowed[v] = fams[i]
+    return _first_copy(g, h, allowed)
+
+
+def _first_copy(g: Digraph, h: Digraph,
+                allowed: Optional[Sequence[Optional[frozenset[int]]]] = None) -> Optional[Copy]:
+    """The copy of the join's first embedding of h in g, or None; nothing else is listed."""
     order = _pattern_order(h)
     for cols in _join(g, h, order, allowed):
         image = {w: int(col[0]) for w, col in zip(order, cols)}
@@ -1041,7 +1042,6 @@ def skew_witness_pipeline(
     h: Digraph,
     x_perms: Sequence[Permutation],
     skew: Optional[SkewReport] = None,
-    cap: int = DEFAULT_COPY_CAP,
 ) -> Optional[tuple[Copy, tuple[int, ...]]]:
     """A copy of h in g that no permutation of x_perms covers beyond s(h) edges.
 
@@ -1050,17 +1050,16 @@ def skew_witness_pipeline(
     embedded color-class-by-set.  Inside the returned copy every color
     class is consecutive under every permutation, so the skewness bound
     applies per permutation; the coverage profile lists the per-
-    permutation forward counts.
+    permutation forward counts.  With no permutations, the copy is the
+    join's first, with an empty profile.
     """
     if is_rooted_star(h):
         raise InvalidInputError("pipeline requires a pattern that is not a rooted star")
     report = skew if skew is not None else skewness_exact(h)
     if not x_perms:
-        cs = enumerate_copies(g, h, cap)
-        if not len(cs):
-            return None
-        edges = cs.edges(0)
-        return Copy(frozenset(w for e in edges for w in e), frozenset(edges)), ()
+        _check_pattern(h)  # a caller's skew report does not check it
+        copy = _first_copy(g, h)
+        return None if copy is None else (copy, ())
     if any(len(p) != g.n for p in x_perms):
         raise InvalidInputError("permutations must cover the host's vertex set")
     k = len(report.witness_coloring.blocks)

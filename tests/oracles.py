@@ -9,7 +9,8 @@ cliques by the same peel against every member, densest subsets by
 enumerating every vertex subset, per-root min cuts on a fresh token
 network (a node per edge, not the package's vertex network) with a flow
 from zero, and H-copies by a backtracking search over
-Python sets.
+Python sets.  `compatible` is the one exception: it asks the package's
+group engine, so that its tests can check that engine against is_dag.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from typing import Collection, Iterable, Optional, Sequence
 
-from dagcover.covering import Copy, CopySet, _pattern_order, enumerate_copies, union_graph
+from dagcover.covering import Copy, CopySet, _Group, _pattern_order, enumerate_copies, union_graph
 from dagcover.density import DensityReport, _Dinic, _active_vertices, _check_input
 from dagcover.digraph import Digraph, Edge, Permutation, forward_count, is_dag
 from dagcover.errors import InvalidInputError, SizeLimitError
@@ -273,6 +274,12 @@ def perm_cover_minimum(g: Digraph, h: Digraph) -> int:
         if coverable(full, t):
             return t
     return greedy_ub
+
+
+def compatible(copies: Iterable[Copy]) -> bool:
+    """True iff one group takes every copy: their edge union is acyclic."""
+    group = _Group()
+    return all(group.try_add(c.edges) for c in copies)
 
 
 def conflict_masks_dense(copies) -> list[int]:

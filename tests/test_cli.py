@@ -306,6 +306,24 @@ def test_huge_host_exit_3(capsys, tmp_path, monkeypatch):
     assert code == 0 and out.startswith("a = 1/1 (witness: 0 1)")
 
 
+def test_huge_host_pipeline_without_permutations_exit_3(capsys, tmp_path, monkeypatch):
+    # the pipeline's copy search refuses the host as enumeration does
+    from dagcover import digraph
+
+    def no_arrays(cls, n, edges):
+        raise AssertionError(f"built per-vertex arrays for n = {n}")
+
+    monkeypatch.setattr(digraph.EdgeIndex, "build", classmethod(no_arrays))
+    host = tmp_path / "huge.json"
+    host.write_text('{"n": 100000000000, "edges": [[0, 1]]}')
+    pattern = graph_file(tmp_path, "p2.txt", make_directed_path(2))
+    perms = tmp_path / "none.txt"
+    perms.write_text("")
+    code, out, err = run_cli(capsys, "pipeline", str(host), pattern, str(perms))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class _Drew(Exception):
     """Raised by a stand-in for the first random draw past a size check."""
 

@@ -11,12 +11,11 @@ import pytest
 from dagcover import covering
 from dagcover.covering import (
     Copy,
+    CopySet,
     CoverSolution,
     TauExactResult,
     _conflicts,
     _Group,
-    _reach,
-    compatible,
     consistent_sets,
     enumerate_copies,
     find_consistent_copy,
@@ -40,11 +39,12 @@ from dagcover.digraph import (
 from dagcover.errors import InfeasibleSizeError, InvalidInputError, SizeLimitError
 from dagcover.experiments import figure1_graph, sample_digraph
 from dagcover.rng import substream
-from dagcover.skewness import Partition
+from dagcover.skewness import Partition, skewness_exact
 
 from oracles import (
     _embed,
     clique_lower_unscreened,
+    compatible,
     complete_digraph,
     conflict_masks_dense,
     perm_cover_minimum,
@@ -559,6 +559,22 @@ def test_tau_exact_refuses_before_building_copies(monkeypatch):
         tau_exact(d10, T3, copies=cs)
 
 
+def test_tau_exact_decodes_each_row_once_on_an_early_return(monkeypatch):
+    g = family_draw("T3", 0)  # greedy meets the clique: 0 search nodes
+    cs = enumerate_copies(g, T3)
+    decode = CopySet.edges
+    calls = Counter()
+
+    def counting(self, i):
+        calls[i] += 1
+        return decode(self, i)
+
+    monkeypatch.setattr(CopySet, "edges", counting)
+    res = tau_exact(g, T3, copies=cs)
+    assert res.exact and res.nodes == 0
+    assert calls == Counter(range(len(cs)))  # greedy's scan, and nothing else
+
+
 def test_truncated_copy_set_is_never_exact():
     k6 = complete_digraph(6)  # 120 T3 copies, tau >= 6
     res = tau_exact(k6, T3, cap=2)
@@ -668,11 +684,17 @@ def test_conflict_masks_match_dense_oracle():
     for pattern in (make_transitive_tournament(5), make_directed_path(4),
                     Digraph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (0, 4)])):
         hosts += [(random_digraph(rng, 7, 0.5), pattern) for _ in range(3)]
+    # the 10-vertex path, at MAX_PATTERN_VERTICES: its closure masks use
+    # bit 9.  On the directed 18-cycle, opposite copies share only their
+    # ends and close the cycle, so the pair join alone must find them
+    path9 = make_directed_path(9)
+    hosts += [(random_digraph(random.Random(10), 10, 0.3), path9),
+              (Digraph(18, [(v, (v + 1) % 18) for v in range(18)]), path9)]
     shared = Counter()
     for g, pattern in hosts:
         cs = enumerate_copies(g, pattern)
         copies = cs.copies
-        conflicts = _conflicts([cs.edges(i) for i in range(len(cs))])
+        conflicts = _conflicts(cs)
         assert conflicts == as_lists(conflict_masks_dense(copies)), (g, pattern)
         assert_conflict_lists(conflicts)
         if pattern.n >= 4:
@@ -684,26 +706,20 @@ def test_conflict_masks_four_shared_vertices():
     # a 4-cycle through both copies, with no pair reached in opposite directions
     a = Copy(frozenset(range(4)), frozenset({(0, 1), (2, 3)}))
     b = Copy(frozenset(range(4)), frozenset({(1, 2), (3, 0)}))
-    assert not _reach(a.edges) & {(w, u) for u, w in _reach(b.edges)}
-    assert _conflicts([a.edges, b.edges]) == as_lists(conflict_masks_dense([a, b])) == [[1], [0]]
+    cs = enumerate_copies(Digraph(4, a.edges | b.edges), Digraph(4, [(0, 1), (2, 3)]))
+    assert cs.copies == (a, b)
+    assert _conflicts(cs) == as_lists(conflict_masks_dense([a, b])) == [[1], [0]]
 
 
 def test_conflicts_whole_sweep_host():
     # recorded with the whole-width bitmasks the lists replaced
     cs = enumerate_copies(sample_digraph(500, 500**-0.5, 606, 0), T3)
-    conflicts = _conflicts([cs.edges(i) for i in range(len(cs))])
+    conflicts = _conflicts(cs)
     assert_conflict_lists(conflicts)
     assert len(conflicts) == 11_344
     assert sum(1 for near in conflicts if near) == 1_463
     assert sum(map(len, conflicts)) == 2 * 3_001
     assert max(map(len, conflicts)) == 15
-
-
-def test_reach():
-    assert _reach(P3.sorted_edges) == {(0, 1), (1, 2), (0, 2)}
-    assert _reach(T3.sorted_edges) == T3.edges
-    diamond = Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    assert _reach(diamond.sorted_edges) == diamond.edges | {(0, 3)}
 
 
 # (pattern, draw, tau, nodes, solution digest), recorded before the sparse
@@ -849,7 +865,8 @@ def test_pipeline_empty_x():
 
 def test_pipeline_without_permutations_builds_one_copy(monkeypatch):
     host = complete_digraph(6)  # 120 T3 copies
-    want = enumerate_copies(host, T3).copies[0]
+    # the join's first embedding, which enumerates nothing else
+    want = Copy(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2), (0, 2)}))
     built = []
 
     def counting(*args, **kwargs):
@@ -859,6 +876,14 @@ def test_pipeline_without_permutations_builds_one_copy(monkeypatch):
     monkeypatch.setattr(covering, "Copy", counting)
     assert skew_witness_pipeline(host, T3, []) == (want, ())
     assert len(built) == 1
+
+
+def test_pipeline_without_permutations_checks_the_pattern():
+    # a caller's skew report is not a pattern check
+    cyclic = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+    report = skewness_exact(T3)
+    with pytest.raises(InvalidInputError, match="pattern must be a dag"):
+        skew_witness_pipeline(complete_digraph(4), cyclic, [], skew=report)
 
 
 def test_pipeline_rejects_rooted_star():

@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "UndefinedParameterError",
     "balanced_census",
     "coloring_skew",
-    "compatible",
     "consistent_sets",
     "enumerate_copies",
     "figure1_graph",
