@@ -160,8 +160,13 @@ def _cmd_skewness(ns: argparse.Namespace) -> int:
 def _cmd_tau(ns: argparse.Namespace) -> int:
     host = _load_graph(ns.host)
     pattern = _load_graph(ns.pattern)
-    if ns.mode in ("greedy", "bounds") and ns.seed is None:
+    if ns.mode == "exact":
+        if ns.seed is not None:
+            raise InvalidInputError("--seed applies only with --greedy or --bounds")
+    elif ns.seed is None:
         raise InvalidInputError(f"--{ns.mode} requires --seed")
+    elif ns.budget is not None:
+        raise InvalidInputError("--budget applies only with --exact")
     code = EXIT_OK
     if ns.mode == "greedy":
         sol = tau_greedy(host, pattern, ns.seed, cap=ns.cap)
@@ -173,7 +178,8 @@ def _cmd_tau(ns: argparse.Namespace) -> int:
         obj, lines = {"lower": lower, "upper": upper}, [f"{lower} <= tau <= {upper}"]
         truncated = copies.truncated
     else:
-        res = tau_exact(host, pattern, budget=ns.budget, cap=ns.cap)
+        budget = DEFAULT_NODE_BUDGET if ns.budget is None else ns.budget
+        res = tau_exact(host, pattern, budget=budget, cap=ns.cap)
         truncated = res.truncated
         if res.exact:
             obj = res.solution.to_json_dict()
@@ -181,7 +187,7 @@ def _cmd_tau(ns: argparse.Namespace) -> int:
             lines = [f"tau = {res.value}"]
         else:
             obj = {"lower": res.lower, "upper": res.upper, "exact": False}
-            stop = "budget exceeded: " if res.nodes > ns.budget else ""
+            stop = "budget exceeded: " if res.nodes > budget else ""
             lines = [f"{stop}{res.lower} <= tau <= {res.upper}"]
             code = EXIT_PARTIAL
     if truncated:
@@ -353,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--greedy", dest="mode", action="store_const", const="greedy")
     group.add_argument("--bounds", dest="mode", action="store_const", const="bounds")
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=int)
     p.add_argument("--cap", type=int, default=DEFAULT_COPY_CAP)
     add_format(p)
     p.set_defaults(func=_cmd_tau, mode="exact")

@@ -27,9 +27,9 @@ inserts a copy's edges in one pass that keeps the order topological and
 also finds any cycle they close; a copy that closes one is taken back
 out exactly, and the group stays as it was.  It decides every
 copy-family question: the greedy cover and the exact search build their
-groups with it, the clique lower bound keeps one group per member, and
-the conflict relation asks a one-copy group about the pairs its join
-cannot decide (below); those two probes remove a copy that went in.
+groups with it, and the conflict relation asks a one-copy group about
+the pairs its join cannot decide (below); that probe removes a copy
+that went in.
 A group of _SNAPSHOT_EDGES or more edges also keeps a reachability
 snapshot, taken again each time the union grows by a quarter: a path
 it saw survives every later add, so it rejects copies without a
@@ -49,7 +49,10 @@ reversed keys pairs up the copies reaching opposite ways.  Only the
 pairs sharing four or more vertices that it leaves apart, found by the
 same join over vertex keys, are tested on a group.  The pair join
 misses some: the copies {(0, 1), (2, 3)} and {(1, 2), (3, 0)} close a
-4-cycle but reach no pair in opposite directions.
+4-cycle but reach no pair in opposite directions.  Both clique lower
+bounds read this one relation and grow their cliques with one routine,
+`_greedy_clique`: `tau_exact` on the whole set, `tau_lower_clique` on
+the copies sharing two or more vertices with its start.
 """
 
 from __future__ import annotations
@@ -631,6 +634,27 @@ def tau_greedy(
     return solution
 
 
+# copies `tau_lower_clique` adds to its conflict relation at a time; the
+# relation is quadratic in its rows.  On D8 with 4- and 5-vertex patterns a
+# block of 512 took 3 to 6 times as long as one of 64 (process time,
+# 2-vCPU machine); on T3 sweep hosts, D32 and D48 the two took the same.
+_CLIQUE_BLOCK = 64
+
+
+def _greedy_clique(near: Sequence[set[int]], start: int, order: Iterable[int]) -> list[int]:
+    """`start`, then each copy of `order` in conflict with every member so far.
+
+    near[i] is the set of copies in conflict with copy i.
+    """
+    clique = [start]
+    left = near[start]
+    for j in order:
+        if j in left:
+            clique.append(j)
+            left = left & near[j]  # not &=: the sets are the caller's
+    return clique
+
+
 def tau_lower_clique(
     g: Digraph,
     h: Digraph,
@@ -645,9 +669,12 @@ def tau_lower_clique(
     first shuffled copy containing an edge whose reversal also lies in
     some copy: such a copy is guaranteed a conflict partner, whereas a
     uniformly random start is usually conflict-free in sparse hosts and
-    would freeze the clique at size 1.  A copy sharing fewer than two
-    vertices with a member cannot conflict with it (see the module
-    docstring), so only the others ask the member's group.
+    would freeze the clique at size 1.  Every member conflicts with the
+    start, so shares two or more of its vertices (see the module
+    docstring).  Only those copies are scanned, in the shuffled order
+    and _CLIQUE_BLOCK at a time: `_conflicts` builds the relation on the
+    members and the block, and `_greedy_clique` takes the members again,
+    then each copy of the block in conflict with every member so far.
     """
     cs = copies if copies is not None else enumerate_copies(g, h, cap)
     if not len(cs):
@@ -658,12 +685,16 @@ def tau_lower_clique(
     has_reversal = np.isin(heads * n + tails, cs.keys).any(axis=1)
     starts = scan[has_reversal[scan]]
     start = int(starts[0] if len(starts) else scan[0])
-    clique: list[tuple[set[int], _Group]] = []
-    for i in [start] + [i for i in scan.tolist() if i != start]:
-        edges = cs.edges(i)
-        vertices = {w for e in edges for w in e}
-        if not any(len(vertices & held) < 2 or _fits(member, edges) for held, member in clique):
-            clique.append((vertices, _Group(edges)))
+    verts = _vertices(cs)
+    near_start = np.isin(verts, verts[start]).sum(axis=1) >= 2
+    scan = scan[near_start[scan] & (scan != start)]
+    clique = [start]
+    for lo in range(0, len(scan), _CLIQUE_BLOCK):
+        ids = clique + scan[lo:lo + _CLIQUE_BLOCK].tolist()
+        rows = np.sort(ids)  # ascending, as a CopySet's rows must be
+        near = [set(js) for js in _conflicts(CopySet(cs.host, cs.pattern, cs.keys[rows], cs.truncated))]
+        at = np.searchsorted(rows, ids).tolist()
+        clique = rows[_greedy_clique(near, at[0], at[1:])].tolist()
     return len(clique)
 
 
@@ -705,20 +736,28 @@ def _equal_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, at[np.arange(len(i)) - np.repeat(np.cumsum(hits) - hits - lo, hits)]
 
 
+def _vertices(cs: CopySet) -> np.ndarray:
+    """Row i: copy i's h vertices, ascending."""
+    ends = np.sort(np.concatenate(np.divmod(cs.keys, cs.host.n), axis=1), axis=1)
+    first = np.ones(ends.shape, dtype=bool)
+    first[:, 1:] = ends[:, 1:] != ends[:, :-1]
+    return ends[first].reshape(len(cs), cs.pattern.n)
+
+
 def _conflicts(cs: CopySet) -> list[list[int]]:
     """Entry i lists, ascending, the copies that cannot share a group with copy i.
 
     Read from the key rows (see the module docstring): a row's h
     vertices, ascending, are its local ids, and reach[i, a] masks the
     local ids that a reaches in row i.  The relation can be quadratic
-    in the copies, so the library builds it only within MAX_EXACT_COPIES.
+    in the copies, so the library builds it only on small sets: within
+    MAX_EXACT_COPIES for `tau_exact`, and for `tau_lower_clique` on its
+    members and at most _CLIQUE_BLOCK copies sharing two or more
+    vertices with its start.
     """
     count, n, h = len(cs), cs.host.n, cs.pattern.n
     tails, heads = np.divmod(cs.keys, n)
-    ends = np.sort(np.concatenate([tails, heads], axis=1), axis=1)
-    first = np.ones(ends.shape, dtype=bool)
-    first[:, 1:] = ends[:, 1:] != ends[:, :-1]
-    verts = ends[first].reshape(count, h)
+    verts = _vertices(cs)
     # an end's local id counts the row's vertices below it
     lt, lh = (np.stack([tails, heads])[..., None] > verts[:, None, :]).sum(axis=3)
     reach = np.zeros((count, h), dtype=np.int64)
@@ -785,19 +824,10 @@ def tau_exact(
 
     conflicts = _conflicts(cs)
 
-    # deterministic greedy clique, best over all starting copies: each
-    # takes the lowest copy that conflicts with every member so far
+    # deterministic greedy clique, the first longest over all starting
+    # copies: each takes the lowest copy that conflicts with every member
     sets = [set(near) for near in conflicts]
-    best_clique: list[int] = []
-    for start, near in enumerate(conflicts):
-        clique = [start]
-        left = sets[start]
-        for j in near:  # ascending, as the members are taken
-            if j in left:
-                clique.append(j)
-                left = left & sets[j]
-        if len(clique) > len(best_clique):
-            best_clique = clique
+    best_clique = max((_greedy_clique(sets, i, near) for i, near in enumerate(conflicts)), key=len)
     lower = len(best_clique)
 
     greedy = tau_greedy(g, h, seed=0, copies=cs)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .covering import (
     DEFAULT_COPY_CAP,
+    MAX_HOST_VERTICES,
     enumerate_copies,
     skew_witness_pipeline,
     tau_greedy,
@@ -211,10 +212,13 @@ def threshold_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRow]:
 
     Per-sample statistics are aggregated over uncensored samples only;
     the censored column counts samples whose copy enumeration hit the
-    cap.  Output is independent of `jobs`.
+    cap.  Output is independent of `jobs`.  Hosts are limited to
+    MAX_HOST_VERTICES vertices, checked before any draw.
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
+    if cfg.n_values[-1] > MAX_HOST_VERTICES:
+        raise SizeLimitError(f"sweep hosts are limited to {MAX_HOST_VERTICES} vertices, got n = {cfg.n_values[-1]}")
     skew: Optional[SkewReport] = None
     if cfg.mode == "skew_pipeline":
         if is_rooted_star(cfg.pattern):

@@ -360,6 +360,33 @@ def test_huge_census_exit_3(capsys, monkeypatch):
         experiments.balanced_census(experiments.MAX_CENSUS_H, 1, 1)
 
 
+def test_huge_sweep_exit_3(capsys, tmp_path, monkeypatch):
+    # an n above the host limit is refused before any host is drawn or
+    # any worker started; the stand-in fails the test instead of drawing
+    from dagcover import experiments
+
+    monkeypatch.setattr(experiments, "sample_digraph", _drew)
+    path = write_sweep(tmp_path, n_values=[20, 20000001], samples=2)
+    code, out, err = run_cli(capsys, "sweep", path, "--jobs", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    with pytest.raises(_Drew):  # the limit itself is allowed
+        cli.run(["sweep", write_sweep(tmp_path, n_values=[covering.MAX_HOST_VERTICES])])
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--seed", "1"], ["--exact", "--seed", "1"], ["--exact", "--seed", str(5 + 2**128)],
+     ["--greedy", "--seed", "1", "--budget", "5"], ["--bounds", "--seed", "1", "--budget", "5"]],
+)
+def test_tau_rejects_flags_of_other_modes(capsys, tmp_path, flags):
+    host = graph_file(tmp_path, "t4.txt", make_transitive_tournament(4))
+    pattern = graph_file(tmp_path, "t3.txt", make_transitive_tournament(3))
+    code, out, err = run_cli(capsys, "tau", host, pattern, *flags)
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
 @pytest.mark.parametrize("flags", [["--trials", "3", "--seed", "1"], ["--seed", "1"], ["--trials", "3"]])
 def test_skewness_exact_rejects_random_flags(capsys, tmp_path, flags):
     path = graph_file(tmp_path, "t4.txt", make_transitive_tournament(4))

@@ -640,18 +640,35 @@ def test_greedy_bench_host_pinned():
 
 @pytest.mark.parametrize(
     "pattern",
-    [T3, P3, make_directed_path(3), figure1_graph(), Digraph(4, [(0, 1), (2, 3)])],
-    ids=["T3", "P2", "P3", "figure1", "two_edges"],
+    [T3, P3, make_directed_path(3), figure1_graph(), Digraph(4, [(0, 1), (2, 3)]),
+     Digraph(5, [(0, 1), (0, 2), (3, 4)])],
+    ids=["T3", "P2", "P3", "figure1", "two_edges", "fork_edge"],
 )
 def test_clique_screen_matches_unscreened_oracle(pattern):
-    # the screen skips members sharing fewer than two vertices with a
-    # copy; the two-edge pattern's copies share 0 to 4
+    # the screen scans only copies sharing two or more vertices with the
+    # start; the two-edge pattern's copies share 0 to 4.  On the complete
+    # hosts that is most of the set, more than one _CLIQUE_BLOCK for P3,
+    # and the 5-vertex patterns' copies sharing four vertices go to the
+    # group probe inside it
     rng = random.Random(f"clique:{pattern.sorted_edges}")
-    for _ in range(4):
-        g = random_digraph(rng, rng.randint(6, 14), 0.3)
+    hosts = [random_digraph(rng, rng.randint(6, 14), 0.3) for _ in range(4)]
+    for g in hosts + [complete_digraph(4), complete_digraph(5)]:
         cs = enumerate_copies(g, pattern)
         for seed in range(8):
             assert tau_lower_clique(g, pattern, seed, copies=cs) == clique_lower_unscreened(cs, seed)
+
+
+def _no_group(*args):
+    raise AssertionError("a group was built")
+
+
+def test_clique_builds_no_group_on_sweep_host(monkeypatch):
+    # T3 copies share at most three vertices, so the pair join decides
+    # every conflict and no copy goes into a group
+    g = sample_digraph(300, 300**-0.5, 606, 0)
+    cs = enumerate_copies(g, T3)
+    monkeypatch.setattr(covering, "_Group", _no_group)
+    assert [tau_lower_clique(g, T3, seed, copies=cs) for seed in range(8)] == [2, 2, 2, 2, 2, 3, 2, 2]
 
 
 def as_lists(masks: list[int]) -> list[list[int]]:
