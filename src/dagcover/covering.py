@@ -23,9 +23,10 @@ suite confirms the equivalence.
 
 `_Group` is the one group engine: an acyclic copy union with a
 topological order, grown by `try_add` and shrunk by `remove`.  `try_add`
-inserts a copy's edges in one pass that keeps the order topological and
-also finds any cycle they close; a copy that closes one is taken back
-out exactly, and the group stays as it was.  It decides every
+inserts a copy's edges in one pass: a backward edge's search for the
+vertices reaching its tail both keeps the order topological and finds
+any cycle the edge closes; a copy that closes one is taken back out
+exactly, and the group stays as it was.  It decides every
 copy-family question: the greedy cover and the exact search build their
 groups with it, and the conflict relation asks a one-copy group about
 the pairs its join cannot decide (below); that probe removes a copy
@@ -101,8 +102,9 @@ class CopySet:
     Row i of the [count, e(H)] int64 array `keys` is copy i's edges
     (u, v) as keys u * n + v, ascending, so in (u, v) order, and the
     rows are distinct and ascending: 8 * e(H) bytes a copy.  The library
-    reads only the rows; `edges(i)` decodes one.  `copies` builds the
-    `Copy` objects the first time it is read and keeps them.
+    reads only the rows; `decode` turns a block of them into edge lists.
+    `copies` builds the `Copy` objects the first time it is read and
+    keeps them.
     """
 
     host: Digraph
@@ -113,10 +115,10 @@ class CopySet:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def edges(self, i: int) -> list[Edge]:
-        """Copy i's edges, in (u, v) order."""
-        n = self.host.n
-        return [divmod(k, n) for k in self.keys[i].tolist()]
+    def decode(self, ids: Sequence[int] | np.ndarray) -> list[list[Edge]]:
+        """The edges of each copy in `ids`, in (u, v) order."""
+        tails, heads = np.divmod(self.keys[ids], self.host.n)
+        return [list(zip(us, vs)) for us, vs in zip(tails.tolist(), heads.tolist())]
 
     @cached_property
     def copies(self) -> tuple[Copy, ...]:
@@ -377,9 +379,19 @@ def enumerate_copies(g: Digraph, h: Digraph, cap: int = DEFAULT_COPY_CAP) -> Cop
     return CopySet(host=g, pattern=h, keys=found, truncated=truncated)
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of `a`, all >= 0, ascending.
+
+    Not np.unique, whose first call in a process adds about 1.7 MB to
+    peak RSS whatever the input size.
+    """
+    a = np.sort(a, axis=None)
+    return a[np.diff(a, prepend=-1) > 0]
+
+
 def union_graph(copyset: CopySet) -> Digraph:
     """The spanning subgraph of the host holding every edge lying in some copy."""
-    tails, heads = np.divmod(np.unique(copyset.keys), copyset.host.n)
+    tails, heads = np.divmod(_distinct(copyset.keys), copyset.host.n)
     return Digraph._from_trusted(copyset.host.n, frozenset(zip(tails.tolist(), heads.tolist())))
 
 
@@ -420,11 +432,14 @@ class _Group:
     edge running forward, and `count` maps each union edge to the number
     of member copies holding it.  `try_add` is the one way in: it inserts
     a copy's edges one by one, and a backward edge (u, v) is placed by
-    the bounded-region reordering of Pearce and Kelly: the region
-    reachable from v and the region reaching u, both inside the window
-    [pos(v), pos(u)], swap within their own slots.  The forward search
-    from v is also the cycle test, since a cycle through (u, v) is a
-    path from v to u, which stays inside that window.
+    the window shift of Marchetti-Spaccamela, Nanni and Rohnert: the
+    vertices of the window [pos(v), pos(u)] that reach u, found by a
+    backward search over in-edges, move to just before v, and both they
+    and the rest of the window keep their relative order.  No other
+    window vertex has an edge into them, since it would reach u too, so
+    the order stays topological.  The search is also the cycle test: a
+    cycle through (u, v) is a path from v to u, which stays inside the
+    window, so the search meets v.
 
     `desc` is a reachability snapshot (the per-vertex bitsets of
     Italiano's incremental closure, taken whole instead of kept up to
@@ -459,13 +474,14 @@ class _Group:
         An edge in `closing`, or an edge (u, v) whose head reached u in
         the snapshot, refuses the copy at once.  Otherwise the edges go
         in sorted, with vertices new to the group appended to the order.
-        A backward edge (u, v) closes a cycle iff the forward search from
-        v, over positions below pos(u), meets u; if so, the copy comes
-        out again: the slot log is replayed in reverse, the appended
-        vertices dropped, the inserted edges deleted and the holder
-        counts restored.  When none of the copy's edges had gone in yet,
-        group edges alone closed that cycle, and (u, v) goes into
-        `closing`, which refuses the next copy holding it at once.
+        A backward edge (u, v) closes a cycle iff the backward search from
+        u, over positions above pos(v), meets v; if so, the copy comes
+        out again: the windows logged before each move are put back in
+        reverse, the appended vertices dropped, the inserted edges
+        deleted and the holder counts restored.  When none of the copy's
+        edges had gone in yet, group edges alone closed that cycle, and
+        (u, v) goes into `closing`, which refuses the next copy holding
+        it at once.
         """
         closing = self.closing
         if closing and not closing.isdisjoint(edges):
@@ -479,7 +495,7 @@ class _Group:
         end = len(order)
         held: list[Edge] = []  # edges already in the union, whose counts went up
         added: list[Edge] = []  # edges new to the union
-        moved: list[tuple[list[int], list[int]]] = []  # (slots, vertices they held) before each move
+        moved: list[tuple[int, list[int]]] = []  # (pos(v), window [pos(v), pos(u)]) before each move
         for e in sorted(edges):
             if e in count:
                 count[e] += 1
@@ -494,35 +510,26 @@ class _Group:
                 order.append(v)
             pu, pv = pos[u], pos[v]
             if pu > pv:
-                # each region is searched breadth first, growing as it is read
-                fwd = [v]
-                seen = {v}
-                for x in fwd:
-                    for y in out.get(x, ()):
+                # the window's vertices reaching u, found breadth first
+                block = [u]
+                seen = {u}
+                for x in block:
+                    for y in in_.get(x, ()):
                         if y not in seen:
-                            if pos[y] < pu:
+                            if pos[y] > pv:
                                 seen.add(y)
-                                fwd.append(y)
-                            elif y == u:
+                                block.append(y)
+                            elif y == v:
                                 if not added:
                                     closing.add(e)
                                 self._undo(end, moved, added, held)
                                 return False
-                bwd = [u]
-                seen = {u}
-                for x in bwd:
-                    for y in in_.get(x, ()):
-                        if y not in seen and pos[y] > pv:
-                            seen.add(y)
-                            bwd.append(y)
-                bwd.sort(key=pos.__getitem__)
-                fwd.sort(key=pos.__getitem__)
-                region = bwd + fwd
-                slots = sorted(map(pos.__getitem__, region))
-                moved.append((slots, list(map(order.__getitem__, slots))))
-                for slot, x in zip(slots, region):
-                    order[slot] = x
-                pos.update(zip(region, slots))
+                moved.append((pv, order[pv:pu + 1]))
+                block.sort(key=pos.__getitem__)
+                for x in reversed(block):
+                    del order[pos[x]]
+                order[pv:pv] = block
+                pos.update(zip(order[pv:pu + 1], range(pv, pu + 1)))
             count[e] = 1
             added.append(e)
             out.setdefault(u, set()).add(v)
@@ -531,14 +538,13 @@ class _Group:
             self._snapshot()
         return True
 
-    def _undo(self, end: int, moved: list[tuple[list[int], list[int]]], added: list[Edge],
+    def _undo(self, end: int, moved: list[tuple[int, list[int]]], added: list[Edge],
               held: list[Edge]) -> None:
         """Take a refused copy back out, leaving the group as it was before `try_add`."""
         order, pos = self.order, self.pos
-        for slots, vertices in reversed(moved):
-            for slot, x in zip(slots, vertices):
-                order[slot] = x
-            pos.update(zip(vertices, slots))
+        for lo, window in reversed(moved):
+            order[lo:lo + len(window)] = window
+            pos.update(zip(window, range(lo, lo + len(window))))
         for x in order[end:]:
             del pos[x]
         del order[end:]
@@ -604,6 +610,10 @@ def _extend_to_permutation(n: int, prefix: Sequence[int]) -> Permutation:
 
 # --- greedy and lower bounds ------------------------------------------------
 
+# copies `tau_greedy` decodes at a time: over sweep hosts (500, 0..3),
+# decoding each whole scan at once raised peak RSS from 50.3 to 54.0 MB
+_DECODE_BLOCK = 1024
+
 def tau_greedy(
     g: Digraph,
     h: Digraph,
@@ -618,15 +628,16 @@ def tau_greedy(
     scan = substream(seed).permutation(count)
     groups: list[_Group] = []
     assignment = [0] * count
-    for i in scan.tolist():
-        edges = cs.edges(i)
-        for gi, group in enumerate(groups):
-            if group.try_add(edges):
-                break
-        else:
-            gi = len(groups)
-            groups.append(_Group(edges))
-        assignment[i] = gi
+    for lo in range(0, count, _DECODE_BLOCK):
+        block = scan[lo:lo + _DECODE_BLOCK]
+        for i, edges in zip(block.tolist(), cs.decode(block)):
+            for gi, group in enumerate(groups):
+                if group.try_add(edges):
+                    break
+            else:
+                gi = len(groups)
+                groups.append(_Group(edges))
+            assignment[i] = gi
     perms = tuple(_extend_to_permutation(cs.host.n, group.order) for group in groups)
     solution = CoverSolution(permutations=perms, assignment=tuple(assignment), truncated=cs.truncated)
     if not solution.covers(cs):
@@ -775,12 +786,13 @@ def _conflicts(cs: CopySet) -> list[list[int]]:
         probe = shared[(times >= 4) & ~np.isin(shared, codes)].tolist()
         hit = []
         for i, pairs in groupby(probe, key=lambda code: code // count):
-            alone = _Group(cs.edges(i))
-            hit += [code for code in pairs if not _fits(alone, cs.edges(code % count))]
+            pairs = list(pairs)
+            first, *others = cs.decode([i] + [code % count for code in pairs])
+            alone = _Group(first)
+            hit += [code for code, edges in zip(pairs, others) if not _fits(alone, edges)]
         found = np.array(hit, dtype=np.int64)
         codes = np.concatenate([codes, found, found % count * count + found // count])
-    codes = np.sort(codes)  # not np.unique, whose first call adds about 1.5 MB to peak RSS
-    codes = codes[np.diff(codes, prepend=-1) > 0]
+    codes = _distinct(codes)
     flat = (codes % count).tolist()
     cuts = np.cumsum(np.bincount(codes // count, minlength=count)).tolist()
     return [flat[lo:hi] for lo, hi in zip([0] + cuts, cuts)]
@@ -837,7 +849,7 @@ def tau_exact(
         return TauExactResult(lower=lower, upper=best_size, exact=not cs.truncated, solution=greedy,
                               nodes=0, truncated=cs.truncated)
 
-    items = [cs.edges(i) for i in range(count)]
+    items = cs.decode(np.arange(count))
 
     anchor = sorted(best_clique)
     pinned = set(anchor)
