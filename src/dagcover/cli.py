@@ -20,6 +20,7 @@ from . import graphio
 from .covering import (
     DEFAULT_COPY_CAP,
     DEFAULT_NODE_BUDGET,
+    MAX_PATTERN_VERTICES,
     consistent_sets,
     enumerate_copies,
     skew_witness_pipeline,
@@ -90,7 +91,15 @@ def _int_arg(text: str, what: str) -> int:
         raise InvalidInputError(f"{what} must be an integer, got {text!r}") from None
 
 
-def catalog_graph(name: str, args: Sequence[str]) -> Digraph:
+def catalog_graph(name: str, args: Sequence[str], max_vertices: Optional[int] = None) -> Digraph:
+    """The named graph; one of more than `max_vertices` vertices is refused before it is built."""
+
+    def size(text: str, what: str, extra: int = 0) -> int:
+        value = _int_arg(text, what)
+        if max_vertices is not None and value + extra > max_vertices:
+            raise SizeLimitError(f"pattern enumeration is limited to {max_vertices} vertices, got {value + extra}")
+        return value
+
     if name == "figure1":
         if args:
             raise InvalidInputError("catalog figure1 takes no arguments")
@@ -98,7 +107,7 @@ def catalog_graph(name: str, args: Sequence[str]) -> Digraph:
     if name == "Th":
         if len(args) != 1:
             raise InvalidInputError("catalog Th takes one argument: h")
-        return make_transitive_tournament(_int_arg(args[0], "Th size h"))
+        return make_transitive_tournament(size(args[0], "Th size h"))
     if name == "star":
         if len(args) not in (1, 2):
             raise InvalidInputError("catalog star takes h and optionally source|sink")
@@ -107,11 +116,11 @@ def catalog_graph(name: str, args: Sequence[str]) -> Digraph:
             if args[1] not in ("source", "sink"):
                 raise InvalidInputError("star direction must be 'source' or 'sink'")
             source = args[1] == "source"
-        return make_rooted_star(_int_arg(args[0], "star size h"), source=source)
+        return make_rooted_star(size(args[0], "star size h"), source=source)
     if name == "path":
         if len(args) != 1:
             raise InvalidInputError("catalog path takes one argument: length")
-        return make_directed_path(_int_arg(args[0], "path length"))
+        return make_directed_path(size(args[0], "path length", extra=1))
     raise InvalidInputError(f"unknown catalog entry {name!r}")
 
 
@@ -276,7 +285,7 @@ def _parse_sweep_config(text: str) -> SweepConfig:
         parts = pattern_spec.split()
         if not parts:
             raise InvalidInputError('sweep config "pattern" is empty')
-        pattern = catalog_graph(parts[0], parts[1:])
+        pattern = catalog_graph(parts[0], parts[1:], MAX_PATTERN_VERTICES)
     else:
         raise InvalidInputError('sweep config needs "pattern" (graph object or catalog string)')
     try:

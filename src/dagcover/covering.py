@@ -26,41 +26,39 @@ topological order, grown by `try_add` and shrunk by `remove`.  `try_add`
 inserts a copy's edges in one pass: a backward edge's search for the
 vertices reaching its tail both keeps the order topological and finds
 any cycle the edge closes; a copy that closes one is taken back out
-exactly, and the group stays as it was.  It decides every
-copy-family question: the greedy cover and the exact search build their
-groups with it, and the conflict relation asks a one-copy group about
-the pairs its join cannot decide (below); that probe removes a copy
-that went in.
-A group of _SNAPSHOT_EDGES or more edges also keeps a reachability
-snapshot, taken again each time the union grows by a quarter: a path
-it saw survives every later add, so it rejects copies without a
-search, and a remove drops it.
+exactly, and the group stays as it was.  The greedy cover and the exact
+search build their groups with it; the conflict relation (below) needs
+no group.  A group of _SNAPSHOT_EDGES or more edges also keeps a
+reachability snapshot, taken again each time the union grows by a
+quarter: a path it saw survives every later add, so it rejects copies
+without a search, and a remove drops it.
 
-Two copies conflict when their union has a cycle.  Each copy is
-acyclic, so a simple cycle in the union uses edges of both: it switches
-from one copy's edges to the other's and back at 2k distinct vertices,
-all shared, and each stretch between two switches is a path inside one
+Two copies conflict when their union has a cycle.  Each copy is acyclic,
+so a simple cycle in the union uses edges of both: it switches from one
+copy's edges to the other's and back at 2k distinct vertices, all
+shared, and each stretch between two switches is a path inside one
 copy, so a reachable pair of that copy.  When the copies share at most
 three vertices, 2k = 2: one copy reaches b from a and the other reaches
 a from b.  Conversely, two such paths make a closed walk in the union,
-so a cycle.  The conflict relation (`_conflicts`) decides such pairs
-from the key rows in numpy: an h-bit closure of each row gives its
-reachable pairs, and a join of each pair key a * n + b against the
-reversed keys pairs up the copies reaching opposite ways.  Only the
-pairs sharing four or more vertices that it leaves apart, found by the
-same join over vertex keys, are tested on a group.  The pair join
-misses some: the copies {(0, 1), (2, 3)} and {(1, 2), (3, 0)} close a
-4-cycle but reach no pair in opposite directions.  Both clique lower
-bounds read this one relation and grow their cliques with one routine,
-`_greedy_clique`: `tau_exact` on the whole set, `tau_lower_clique` on
-the copies sharing two or more vertices with its start.
+so a cycle.  The conflict relation (`_conflicts`) decides every pair
+from the key rows in numpy, with one bit closure (`_closure`): the
+h-bit closure of each row gives its reachable pairs, and a join of each
+pair key a * n + b against the reversed keys pairs up the copies
+reaching opposite ways.  The pairs sharing four or more vertices that it
+leaves apart, found by the same join over vertex keys, get the closure
+of their union, and conflict when a vertex reaches itself.  The pair
+join misses some: the copies {(0, 1), (2, 3)} and {(1, 2), (3, 0)}
+close a 4-cycle but reach no pair in opposite directions.  Both clique
+lower bounds read this one relation and grow their cliques with one
+routine, `_greedy_clique`: `tau_exact` on the whole set,
+`tau_lower_clique` on the copies sharing two or more vertices with its
+start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -382,8 +380,8 @@ def enumerate_copies(g: Digraph, h: Digraph, cap: int = DEFAULT_COPY_CAP) -> Cop
 def _distinct(a: np.ndarray) -> np.ndarray:
     """The distinct values of `a`, all >= 0, ascending.
 
-    Not np.unique, whose first call in a process adds about 1.7 MB to
-    peak RSS whatever the input size.
+    Not numpy's unique, whose first call in a process adds about 1.7 MB
+    to peak RSS whatever the input size.
     """
     a = np.sort(a, axis=None)
     return a[np.diff(a, prepend=-1) > 0]
@@ -593,14 +591,6 @@ class _Group:
             self.snapshot_at = len(self.count) * 5 // 4
 
 
-def _fits(group: _Group, edges: Collection[Edge]) -> bool:
-    """True iff `edges` could join `group`, which keeps only what it held."""
-    if group.try_add(edges):
-        group.remove(edges)
-        return True
-    return False
-
-
 def _extend_to_permutation(n: int, prefix: Sequence[int]) -> Permutation:
     """Extension rule: the group's order first, remaining vertices by index."""
     seen = set(prefix)
@@ -696,16 +686,14 @@ def tau_lower_clique(
     has_reversal = np.isin(heads * n + tails, cs.keys).any(axis=1)
     starts = scan[has_reversal[scan]]
     start = int(starts[0] if len(starts) else scan[0])
-    verts = _vertices(cs)
+    verts = _vertices(cs.keys, n, cs.pattern.n)
     near_start = np.isin(verts, verts[start]).sum(axis=1) >= 2
     scan = scan[near_start[scan] & (scan != start)]
     clique = [start]
     for lo in range(0, len(scan), _CLIQUE_BLOCK):
         ids = clique + scan[lo:lo + _CLIQUE_BLOCK].tolist()
-        rows = np.sort(ids)  # ascending, as a CopySet's rows must be
-        near = [set(js) for js in _conflicts(CopySet(cs.host, cs.pattern, cs.keys[rows], cs.truncated))]
-        at = np.searchsorted(rows, ids).tolist()
-        clique = rows[_greedy_clique(near, at[0], at[1:])].tolist()
+        near = [set(js) for js in _conflicts(cs.keys[ids], n, cs.pattern.n)]
+        clique = [ids[j] for j in _greedy_clique(near, 0, range(1, len(ids)))]
     return len(clique)
 
 
@@ -747,51 +735,64 @@ def _equal_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, at[np.arange(len(i)) - np.repeat(np.cumsum(hits) - hits - lo, hits)]
 
 
-def _vertices(cs: CopySet) -> np.ndarray:
-    """Row i: copy i's h vertices, ascending."""
-    ends = np.sort(np.concatenate(np.divmod(cs.keys, cs.host.n), axis=1), axis=1)
+def _vertices(keys: np.ndarray, n: int, h: int) -> np.ndarray:
+    """Row i: the h vertices of key row i, ascending."""
+    ends = np.sort(np.concatenate(np.divmod(keys, n), axis=1), axis=1)
     first = np.ones(ends.shape, dtype=bool)
     first[:, 1:] = ends[:, 1:] != ends[:, :-1]
-    return ends[first].reshape(len(cs), cs.pattern.n)
+    return ends[first].reshape(len(keys), h)
 
 
-def _conflicts(cs: CopySet) -> list[list[int]]:
-    """Entry i lists, ascending, the copies that cannot share a group with copy i.
+def _closure(tails: np.ndarray, heads: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """reach[r, a] masks the local ids that local id a reaches over row r's edges.
 
-    Read from the key rows (see the module docstring): a row's h
-    vertices, ascending, are its local ids, and reach[i, a] masks the
-    local ids that a reaches in row i.  The relation can be quadratic
-    in the copies, so the library builds it only on small sets: within
+    Row r's edges run from tails[r] to heads[r], and a vertex's local id
+    counts the entries of verts[r] below it, so distinct vertices get
+    distinct ids, all below verts.shape[1].
+    """
+    lt, lh = (np.stack([tails, heads])[..., None] > verts[:, None, :]).sum(axis=3)
+    reach = np.zeros(verts.shape, dtype=np.int64)
+    np.bitwise_or.at(reach, (np.arange(len(verts))[:, None], lt), 1 << lh)
+    for k in range(verts.shape[1]):
+        reach |= (reach >> k & 1) * reach[:, k:k + 1]
+    return reach
+
+
+def _conflicts(keys: np.ndarray, n: int, h: int) -> list[list[int]]:
+    """Entry i lists, ascending, the key rows that cannot share a group with row i.
+
+    `keys` holds copies of an h-vertex pattern in an n-vertex host, one
+    row each (see the module docstring).  A row's h vertices, ascending,
+    are its local ids, and the pair join reads each row's closure.  The
+    pairs sharing four or more vertices that it leaves apart get the
+    closure of their union, over the 2h vertices of the two rows: a
+    shared vertex is there twice, but the count below it is the same
+    for both, so each vertex keeps one local id below 2h, and a vertex
+    reaching itself is a cycle.  The relation can be quadratic in the
+    rows, so the library builds it only on small sets: within
     MAX_EXACT_COPIES for `tau_exact`, and for `tau_lower_clique` on its
     members and at most _CLIQUE_BLOCK copies sharing two or more
     vertices with its start.
     """
-    count, n, h = len(cs), cs.host.n, cs.pattern.n
-    tails, heads = np.divmod(cs.keys, n)
-    verts = _vertices(cs)
-    # an end's local id counts the row's vertices below it
-    lt, lh = (np.stack([tails, heads])[..., None] > verts[:, None, :]).sum(axis=3)
-    reach = np.zeros((count, h), dtype=np.int64)
-    np.bitwise_or.at(reach, (np.arange(count)[:, None], lt), 1 << lh)
-    for k in range(h):
-        reach |= (reach >> k & 1) * reach[:, k:k + 1]
-    row, a, b = np.nonzero(reach[:, :, None] >> np.arange(h) & 1)
+    count = len(keys)
+    tails, heads = np.divmod(keys, n)
+    verts = _vertices(keys, n, h)
+    row, a, b = np.nonzero(_closure(tails, heads, verts)[:, :, None] >> np.arange(h) & 1)
     ta, tb = verts[row, a], verts[row, b]
     p, q = _equal_pairs(ta * n + tb, tb * n + ta)
-    codes = row[p] * count + row[q]  # copies i and j in conflict, as i * count + j
+    codes = row[p] * count + row[q]  # rows i and j in conflict, as i * count + j
     if h >= 4:
         p, q = _equal_pairs(verts.ravel(), verts.ravel())
         p, q = p // h, q // h
-        shared, times = np.unique((p * count + q)[p < q], return_counts=True)
-        probe = shared[(times >= 4) & ~np.isin(shared, codes)].tolist()
-        hit = []
-        for i, pairs in groupby(probe, key=lambda code: code // count):
-            pairs = list(pairs)
-            first, *others = cs.decode([i] + [code % count for code in pairs])
-            alone = _Group(first)
-            hit += [code for code, edges in zip(pairs, others) if not _fits(alone, edges)]
-        found = np.array(hit, dtype=np.int64)
-        codes = np.concatenate([codes, found, found % count * count + found // count])
+        shared = np.sort((p * count + q)[p < q])  # one code per shared vertex
+        shared = _distinct(shared[3:][shared[3:] == shared[:-3]])
+        p, q = np.divmod(shared[~np.isin(shared, codes)], count)
+        reach = _closure(np.concatenate([tails[p], tails[q]], axis=1),
+                         np.concatenate([heads[p], heads[q]], axis=1),
+                         np.concatenate([verts[p], verts[q]], axis=1))
+        cycle = (reach >> np.arange(2 * h) & 1).any(axis=1)
+        p, q = p[cycle], q[cycle]
+        codes = np.concatenate([codes, p * count + q, q * count + p])
     codes = _distinct(codes)
     flat = (codes % count).tolist()
     cuts = np.cumsum(np.bincount(codes // count, minlength=count)).tolist()
@@ -834,7 +835,7 @@ def tau_exact(
             f"exact tau lists every copy's conflicts; limited to {MAX_EXACT_COPIES} copies, got {count}"
         )
 
-    conflicts = _conflicts(cs)
+    conflicts = _conflicts(cs.keys, cs.host.n, cs.pattern.n)
 
     # deterministic greedy clique, the first longest over all starting
     # copies: each takes the lowest copy that conflicts with every member

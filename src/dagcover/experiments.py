@@ -22,6 +22,7 @@ import numpy as np
 from .covering import (
     DEFAULT_COPY_CAP,
     MAX_HOST_VERTICES,
+    MAX_PATTERN_VERTICES,
     enumerate_copies,
     skew_witness_pipeline,
     tau_greedy,
@@ -213,12 +214,15 @@ def threshold_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRow]:
     Per-sample statistics are aggregated over uncensored samples only;
     the censored column counts samples whose copy enumeration hit the
     cap.  Output is independent of `jobs`.  Hosts are limited to
-    MAX_HOST_VERTICES vertices, checked before any draw.
+    MAX_HOST_VERTICES vertices and patterns to MAX_PATTERN_VERTICES,
+    checked before any draw.
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     if cfg.n_values[-1] > MAX_HOST_VERTICES:
         raise SizeLimitError(f"sweep hosts are limited to {MAX_HOST_VERTICES} vertices, got n = {cfg.n_values[-1]}")
+    if cfg.pattern.n > MAX_PATTERN_VERTICES:
+        raise SizeLimitError(f"pattern enumeration is limited to {MAX_PATTERN_VERTICES} vertices, got {cfg.pattern.n}")
     skew: Optional[SkewReport] = None
     if cfg.mode == "skew_pipeline":
         if is_rooted_star(cfg.pattern):

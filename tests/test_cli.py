@@ -360,18 +360,27 @@ def test_huge_census_exit_3(capsys, monkeypatch):
         experiments.balanced_census(experiments.MAX_CENSUS_H, 1, 1)
 
 
-def test_huge_sweep_exit_3(capsys, tmp_path, monkeypatch):
-    # an n above the host limit is refused before any host is drawn or
-    # any worker started; the stand-in fails the test instead of drawing
+@pytest.mark.parametrize(
+    "config",
+    [{"n_values": [20, 20000001], "samples": 2},
+     {"pattern": "Th 2000"},
+     {"pattern": {"n": 11, "edges": [[v, v + 1] for v in range(10)]}, "n_values": [4000]}],
+    ids=["host", "catalog_pattern", "json_pattern"],
+)
+def test_huge_sweep_exit_3(capsys, tmp_path, monkeypatch, config):
+    # an n above the host limit, or a pattern above the pattern limit, is
+    # refused before any host is drawn or any worker started, and a
+    # catalog pattern before it is built; the stand-in fails the test
+    # instead of drawing
     from dagcover import experiments
 
     monkeypatch.setattr(experiments, "sample_digraph", _drew)
-    path = write_sweep(tmp_path, n_values=[20, 20000001], samples=2)
+    path = write_sweep(tmp_path, **config)
     code, out, err = run_cli(capsys, "sweep", path, "--jobs", "2")
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    with pytest.raises(_Drew):  # the limit itself is allowed
-        cli.run(["sweep", write_sweep(tmp_path, n_values=[covering.MAX_HOST_VERTICES])])
+    with pytest.raises(_Drew):  # the limits themselves are allowed
+        cli.run(["sweep", write_sweep(tmp_path, pattern="path 9", n_values=[covering.MAX_HOST_VERTICES])])
 
 
 @pytest.mark.parametrize(

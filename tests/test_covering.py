@@ -272,6 +272,14 @@ def ask(group: _Group, edges, want: bool) -> bool:
     return (twin(group) if want else group).try_add(edges)
 
 
+def fits(group: _Group, edges) -> bool:
+    """True iff `edges` could join `group`, which keeps only what it held."""
+    if group.try_add(edges):
+        group.remove(edges)
+        return True
+    return False
+
+
 def group_state(group: _Group) -> tuple:
     """What a refused try_add must leave as it found it; `closing` may grow."""
     return (list(group.order), dict(group.pos), dict(group.count),
@@ -443,7 +451,7 @@ def test_group_closing_memo_matches_fresh_groups():
             for c in copies:
                 hits += bool(group.closing & c.edges)
                 want = is_dag(Digraph(7, union | c.edges))
-                assert ask(group, c.edges, want) == covering._fits(fresh, c.edges) == want, c
+                assert ask(group, c.edges, want) == fits(fresh, c.edges) == want, c
     assert hits and clears
 
 
@@ -477,7 +485,7 @@ def test_group_snapshot_matches_fresh_groups(monkeypatch, snapshot_edges):
                     assert not is_dag(Digraph(8, union | {(y, x)})), (x, y)
             for c in copies:
                 want = is_dag(Digraph(8, union | c.edges))
-                assert ask(group, c.edges, want) == covering._fits(fresh, c.edges) == want, c
+                assert ask(group, c.edges, want) == fits(fresh, c.edges) == want, c
     # n = 8 groups hold at most 56 edges, so only lowered thresholds take one
     assert (snapshots > 0) == (snapshot_edges < 56)
 
@@ -699,8 +707,8 @@ def test_clique_screen_matches_unscreened_oracle(pattern):
     # the screen scans only copies sharing two or more vertices with the
     # start; the two-edge pattern's copies share 0 to 4.  On the complete
     # hosts that is most of the set, more than one _CLIQUE_BLOCK for P3,
-    # and the 5-vertex patterns' copies sharing four vertices go to the
-    # group probe inside it
+    # and the 5-vertex patterns' copies sharing four vertices get the
+    # closure of their union inside it
     rng = random.Random(f"clique:{pattern.sorted_edges}")
     hosts = [random_digraph(rng, rng.randint(6, 14), 0.3) for _ in range(4)]
     for g in hosts + [complete_digraph(4), complete_digraph(5)]:
@@ -713,13 +721,19 @@ def _no_group(*args):
     raise AssertionError("a group was built")
 
 
-def test_clique_builds_no_group_on_sweep_host(monkeypatch):
-    # T3 copies share at most three vertices, so the pair join decides
-    # every conflict and no copy goes into a group
-    g = sample_digraph(300, 300**-0.5, 606, 0)
-    cs = enumerate_copies(g, T3)
+@pytest.mark.parametrize(
+    "host, pattern, want",
+    [(sample_digraph(300, 300**-0.5, 606, 0), T3, [2, 2, 2, 2, 2, 3, 2, 2]),
+     (complete_digraph(8), Digraph(5, [(0, 1), (2, 3), (3, 4)]), [10, 9, 12, 10, 9, 11, 10, 11])],
+    ids=["T3_sweep_host", "edge_path_D8"],
+)
+def test_clique_builds_no_group(monkeypatch, host, pattern, want):
+    # the pair join and, for copies sharing four or more vertices, the
+    # closure of their union decide every conflict, so no copy goes into
+    # a group; values recorded before the union closure, without the patch
+    cs = enumerate_copies(host, pattern)
     monkeypatch.setattr(covering, "_Group", _no_group)
-    assert [tau_lower_clique(g, T3, seed, copies=cs) for seed in range(8)] == [2, 2, 2, 2, 2, 3, 2, 2]
+    assert [tau_lower_clique(host, pattern, seed, copies=cs) for seed in range(8)] == want
 
 
 def as_lists(masks: list[int]) -> list[list[int]]:
@@ -762,7 +776,7 @@ def test_conflict_masks_match_dense_oracle():
     for g, pattern in hosts:
         cs = enumerate_copies(g, pattern)
         copies = cs.copies
-        conflicts = _conflicts(cs)
+        conflicts = _conflicts(cs.keys, cs.host.n, cs.pattern.n)
         assert conflicts == as_lists(conflict_masks_dense(copies)), (g, pattern)
         assert_conflict_lists(conflicts)
         if pattern.n >= 4:
@@ -770,19 +784,21 @@ def test_conflict_masks_match_dense_oracle():
     assert shared[3] and shared[4]
 
 
-def test_conflict_masks_four_shared_vertices():
-    # a 4-cycle through both copies, with no pair reached in opposite directions
+def test_conflict_masks_four_shared_vertices(monkeypatch):
+    # a 4-cycle through both copies, with no pair reached in opposite
+    # directions; the closure of the union finds it without a group
     a = Copy(frozenset(range(4)), frozenset({(0, 1), (2, 3)}))
     b = Copy(frozenset(range(4)), frozenset({(1, 2), (3, 0)}))
     cs = enumerate_copies(Digraph(4, a.edges | b.edges), Digraph(4, [(0, 1), (2, 3)]))
     assert cs.copies == (a, b)
-    assert _conflicts(cs) == as_lists(conflict_masks_dense([a, b])) == [[1], [0]]
+    monkeypatch.setattr(covering, "_Group", _no_group)
+    assert _conflicts(cs.keys, 4, 4) == as_lists(conflict_masks_dense([a, b])) == [[1], [0]]
 
 
 def test_conflicts_whole_sweep_host():
     # recorded with the whole-width bitmasks the lists replaced
     cs = enumerate_copies(sample_digraph(500, 500**-0.5, 606, 0), T3)
-    conflicts = _conflicts(cs)
+    conflicts = _conflicts(cs.keys, cs.host.n, cs.pattern.n)
     assert_conflict_lists(conflicts)
     assert len(conflicts) == 11_344
     assert sum(1 for near in conflicts if near) == 1_463
