@@ -22,16 +22,16 @@ acyclic.  The brute-force oracle over all n! permutations in the test
 suite confirms the equivalence.
 
 `_Group` is the one group engine: an acyclic copy union with a
-topological order, grown by `try_add` and shrunk by `remove`.  `try_add`
-inserts a copy's edges in one pass: a backward edge's search for the
-vertices reaching its tail both keeps the order topological and finds
-any cycle the edge closes; a copy that closes one is taken back out
-exactly, and the group stays as it was.  The greedy cover and the exact
-search build their groups with it; the conflict relation (below) needs
-no group.  A group of _SNAPSHOT_EDGES or more edges also keeps a
-reachability snapshot, taken again each time the union grows by a
-quarter: a path it saw survives every later add, so it rejects copies
-without a search, and a remove drops it.
+topological order and one adjacency, its in-edges, grown by `try_add`
+and shrunk by `remove`.  `try_add` inserts a copy's edges in one pass: a
+backward edge's search for the vertices reaching its tail both keeps
+the order topological and finds any cycle the edge closes; a copy that
+closes one is taken back out exactly.  The greedy cover and the exact
+search build their groups with it, first fit in `_first_fit`; the
+conflict relation (below) needs no group.  A group of _SNAPSHOT_EDGES or
+more edges also keeps `anc`, each vertex's ancestor bitset taken forward
+over the order, again each time the union grows by a quarter: a path it
+saw survives every later add, so it rejects copies without a search.
 
 Two copies conflict when their union has a cycle.  Each copy is acyclic,
 so a simple cycle in the union uses edges of both: it switches from one
@@ -116,7 +116,9 @@ class CopySet:
     def decode(self, ids: Sequence[int] | np.ndarray) -> list[list[Edge]]:
         """The edges of each copy in `ids`, in (u, v) order."""
         tails, heads = np.divmod(self.keys[ids], self.host.n)
-        return [list(zip(us, vs)) for us, vs in zip(tails.tolist(), heads.tolist())]
+        pairs = list(zip(tails.ravel().tolist(), heads.ravel().tolist()))
+        e = tails.shape[1]
+        return [pairs[lo:lo + e] for lo in range(0, len(pairs), e)]
 
     @cached_property
     def copies(self) -> tuple[Copy, ...]:
@@ -427,33 +429,31 @@ class _Group:
     """The edge union of a family of copies, acyclic, with a topological order.
 
     `order` lists every vertex the group has touched, with each union
-    edge running forward, and `count` maps each union edge to the number
-    of member copies holding it.  `try_add` is the one way in: it inserts
-    a copy's edges one by one, and a backward edge (u, v) is placed by
-    the window shift of Marchetti-Spaccamela, Nanni and Rohnert: the
-    vertices of the window [pos(v), pos(u)] that reach u, found by a
-    backward search over in-edges, move to just before v, and both they
-    and the rest of the window keep their relative order.  No other
-    window vertex has an edge into them, since it would reach u too, so
-    the order stays topological.  The search is also the cycle test: a
-    cycle through (u, v) is a path from v to u, which stays inside the
-    window, so the search meets v.
+    edge running forward; `in_` maps each to its in-neighbours, and
+    `count` each union edge to the number of member copies holding it.
+    `try_add` is the one way in: it inserts a copy's edges one by one,
+    and places a backward edge (u, v) by the window shift of
+    Marchetti-Spaccamela, Nanni and Rohnert: the vertices of the window
+    [pos(v), pos(u)] reaching u, found by a backward search over
+    in-edges, move to just before v, both they and the rest keeping
+    their relative order.  No other window vertex has an edge into them,
+    since it would reach u too, so the order stays topological.  The
+    search is also the cycle test: a cycle through (u, v) is a path from
+    v to u, which stays inside the window, so the search meets v.
 
-    `desc` is a reachability snapshot (the per-vertex bitsets of
+    `anc` is a reachability snapshot (the per-vertex bitsets of
     Italiano's incremental closure, taken whole instead of kept up to
-    date): it maps each vertex of `order` to the bitset of the vertices
-    it reached over group edges when the snapshot was taken, and is
+    date): it maps each vertex of `order` to the bitset of itself and
+    its ancestors over group edges when the snapshot was taken, and is
     empty while there is none.  `try_add` takes it once the union holds
     _SNAPSHOT_EDGES edges and again whenever the union has grown by a
-    quarter since, in one pass over the order reversed, at most
-    |order| * n / 8 bytes.  Between removes the union only grows, so a
-    stale snapshot still holds only true paths: it may reject a copy,
-    and never accepts one.
+    quarter since, in one pass over the order, at most |order| * n / 8
+    bytes.  Between removes the union only grows, so a stale snapshot
+    holds only true paths: it may reject a copy, never accept one.
     """
 
     def __init__(self, edges: Collection[Edge] = ()) -> None:
         """A group holding `edges`, one acyclic copy, or nothing."""
-        self.out: dict[int, set[int]] = {}
         self.in_: dict[int, set[int]] = {}
         self.pos: dict[int, int] = {}
         self.order: list[int] = []
@@ -461,7 +461,7 @@ class _Group:
         # edges (u, v) whose head v reaches u over group edges alone: no
         # copy holding one fits while the union only grows; remove clears it
         self.closing: set[Edge] = set()
-        self.desc: dict[int, int] = {}
+        self.anc: dict[int, int] = {}
         self.snapshot_at = _SNAPSHOT_EDGES  # union size that takes the next snapshot
         if not self.try_add(edges):
             raise AssertionError("a group's first copy must be acyclic")
@@ -475,8 +475,8 @@ class _Group:
         A backward edge (u, v) closes a cycle iff the backward search from
         u, over positions above pos(v), meets v; if so, the copy comes
         out again: the windows logged before each move are put back in
-        reverse, the appended vertices dropped, the inserted edges
-        deleted and the holder counts restored.  When none of the copy's
+        reverse, the inserted edges deleted, the appended vertices
+        dropped and the holder counts restored.  When none of the copy's
         edges had gone in yet, group edges alone closed that cycle, and
         (u, v) goes into `closing`, which refuses the next copy holding
         it at once.
@@ -484,12 +484,12 @@ class _Group:
         closing = self.closing
         if closing and not closing.isdisjoint(edges):
             return False
-        desc = self.desc
-        if desc:
+        anc = self.anc
+        if anc:
             for u, v in edges:
-                if desc.get(v, 0) >> u & 1:
+                if anc.get(u, 0) >> v & 1:
                     return False
-        pos, order, count, out, in_ = self.pos, self.order, self.count, self.out, self.in_
+        pos, order, count, in_ = self.pos, self.order, self.count, self.in_
         end = len(order)
         held: list[Edge] = []  # edges already in the union, whose counts went up
         added: list[Edge] = []  # edges new to the union
@@ -503,16 +503,18 @@ class _Group:
             if u not in pos:
                 pos[u] = len(order)
                 order.append(u)
+                in_[u] = set()
             if v not in pos:
                 pos[v] = len(order)
                 order.append(v)
+                in_[v] = set()
             pu, pv = pos[u], pos[v]
             if pu > pv:
                 # the window's vertices reaching u, found breadth first
                 block = [u]
                 seen = {u}
                 for x in block:
-                    for y in in_.get(x, ()):
+                    for y in in_[x]:
                         if y not in seen:
                             if pos[y] > pv:
                                 seen.add(y)
@@ -530,8 +532,7 @@ class _Group:
                 pos.update(zip(order[pv:pu + 1], range(pv, pu + 1)))
             count[e] = 1
             added.append(e)
-            out.setdefault(u, set()).add(v)
-            in_.setdefault(v, set()).add(u)
+            in_[v].add(u)
         if len(count) >= self.snapshot_at:
             self._snapshot()
         return True
@@ -539,31 +540,30 @@ class _Group:
     def _undo(self, end: int, moved: list[tuple[int, list[int]]], added: list[Edge],
               held: list[Edge]) -> None:
         """Take a refused copy back out, leaving the group as it was before `try_add`."""
-        order, pos = self.order, self.pos
+        order, pos, count, in_ = self.order, self.pos, self.count, self.in_
         for lo, window in reversed(moved):
             order[lo:lo + len(window)] = window
             pos.update(zip(window, range(lo, lo + len(window))))
+        # the edges first: an inserted edge's head may be an appended vertex
+        for u, v in added:
+            del count[u, v]
+            in_[v].discard(u)
         for x in order[end:]:
-            del pos[x]
+            del pos[x], in_[x]
         del order[end:]
-        for e in added:
-            del self.count[e]
-            u, v = e
-            self.out[u].discard(v)
-            self.in_[v].discard(u)
         for e in held:
-            self.count[e] -= 1
+            count[e] -= 1
 
     def _snapshot(self) -> None:
-        """Take `desc` afresh over the order reversed, which meets each edge's head first."""
-        desc: dict[int, int] = {}
-        out = self.out
-        for x in reversed(self.order):
-            reach = 0
-            for y in out.get(x, ()):
-                reach |= desc[y] | 1 << y
-            desc[x] = reach
-        self.desc = desc
+        """Take `anc` afresh over the order, which meets each edge's tail first."""
+        anc: dict[int, int] = {}
+        in_ = self.in_
+        for x in self.order:
+            reach = 1 << x
+            for y in in_[x]:
+                reach |= anc[y]
+            anc[x] = reach
+        self.anc = anc
         self.snapshot_at = len(self.count) * 5 // 4
 
     def remove(self, edges: Iterable[Edge]) -> None:
@@ -577,17 +577,15 @@ class _Group:
         removing one small copy in turn takes no snapshot.
         """
         self.closing.clear()
-        for e in edges:
-            left = self.count[e] - 1
+        for u, v in edges:
+            left = self.count[u, v] - 1
             if left:
-                self.count[e] = left
+                self.count[u, v] = left
             else:
-                del self.count[e]
-                u, v = e
-                self.out[u].discard(v)
+                del self.count[u, v]
                 self.in_[v].discard(u)
-        if self.desc:
-            self.desc = {}
+        if self.anc:
+            self.anc = {}
             self.snapshot_at = len(self.count) * 5 // 4
 
 
@@ -604,23 +602,12 @@ def _extend_to_permutation(n: int, prefix: Sequence[int]) -> Permutation:
 # decoding each whole scan at once raised peak RSS from 50.3 to 54.0 MB
 _DECODE_BLOCK = 1024
 
-def tau_greedy(
-    g: Digraph,
-    h: Digraph,
-    seed: int,
-    cap: int = DEFAULT_COPY_CAP,
-    copies: Optional[CopySet] = None,
-) -> CoverSolution:
-    """First-fit cover: scan copies in seeded random order, first group whose
-    union stays acyclic takes the copy, otherwise a new group opens."""
-    cs = copies if copies is not None else enumerate_copies(g, h, cap)
-    count = len(cs)
-    scan = substream(seed).permutation(count)
+def _first_fit(cs: CopySet, blocks: Iterable[tuple[list[int], list[list[Edge]]]]) -> CoverSolution:
+    """The checked first-fit cover of `cs`, over its copies' (ids, rows) blocks in turn."""
     groups: list[_Group] = []
-    assignment = [0] * count
-    for lo in range(0, count, _DECODE_BLOCK):
-        block = scan[lo:lo + _DECODE_BLOCK]
-        for i, edges in zip(block.tolist(), cs.decode(block)):
+    assignment = [0] * len(cs)
+    for ids, rows in blocks:
+        for i, edges in zip(ids, rows):
             for gi, group in enumerate(groups):
                 if group.try_add(edges):
                     break
@@ -633,6 +620,21 @@ def tau_greedy(
     if not solution.covers(cs):
         raise AssertionError("greedy cover failed verification")
     return solution
+
+
+def tau_greedy(
+    g: Digraph,
+    h: Digraph,
+    seed: int,
+    cap: int = DEFAULT_COPY_CAP,
+    copies: Optional[CopySet] = None,
+) -> CoverSolution:
+    """First-fit cover: scan copies in seeded random order, first group whose
+    union stays acyclic takes the copy, otherwise a new group opens."""
+    cs = copies if copies is not None else enumerate_copies(g, h, cap)
+    scan = substream(seed).permutation(len(cs))
+    blocks = (scan[lo:lo + _DECODE_BLOCK] for lo in range(0, len(cs), _DECODE_BLOCK))
+    return _first_fit(cs, ((ids.tolist(), cs.decode(ids)) for ids in blocks))
 
 
 # copies `tau_lower_clique` adds to its conflict relation at a time; the
@@ -817,10 +819,10 @@ def tau_exact(
     Blocked counts are kept up to date as copies join and leave groups
     and groups open and close, not recounted at every node.  The clique
     and the blocked counts read the conflict lists of `_conflicts`,
-    joined from the key rows (see the module docstring); rows become
-    edge lists only for the search, when greedy does not meet the
-    clique.  If the node budget runs out, or the copy set is truncated,
-    the result degrades to (lower, upper) bounds.
+    joined from the key rows (see the module docstring); the rows are
+    decoded once, for the search and tau_greedy's seed-0 cover, its
+    first upper bound.  If the node budget runs out, or the copy set is
+    truncated, the result degrades to (lower, upper) bounds.
     """
     if budget < 0:
         raise InvalidInputError(f"node budget must be >= 0, got {budget}")
@@ -843,14 +845,14 @@ def tau_exact(
     best_clique = max((_greedy_clique(sets, i, near) for i, near in enumerate(conflicts)), key=len)
     lower = len(best_clique)
 
-    greedy = tau_greedy(g, h, seed=0, copies=cs)
+    items = cs.decode(np.arange(count))
+    scan = substream(0).permutation(count).tolist()
+    greedy = _first_fit(cs, [(scan, [items[i] for i in scan])])
     best_size = greedy.size
     best_assign = list(greedy.assignment)
     if lower == best_size:
         return TauExactResult(lower=lower, upper=best_size, exact=not cs.truncated, solution=greedy,
                               nodes=0, truncated=cs.truncated)
-
-    items = cs.decode(np.arange(count))
 
     anchor = sorted(best_clique)
     pinned = set(anchor)
@@ -933,11 +935,8 @@ def tau_exact(
     unions: list[set[Edge]] = [set() for _ in range(best_size)]
     for idx, gi in enumerate(best_assign):
         unions[gi].update(items[idx])
-    perms = []
-    for union in unions:
-        order = topological_order(Digraph._from_trusted(cs.host.n, frozenset(union)))
-        assert order is not None
-        perms.append(order)
+    perms = [topological_order(Digraph._from_trusted(cs.host.n, frozenset(union))) for union in unions]
+    assert all(perm is not None for perm in perms)
     solution = CoverSolution(permutations=tuple(perms), assignment=tuple(best_assign),
                              truncated=cs.truncated)
     if not solution.covers(cs):

@@ -255,10 +255,9 @@ def test_compatible_matches_union_dagness_random():
 def twin(group: _Group) -> _Group:
     """A copy of the group sharing no state with it."""
     other = copy.copy(group)
-    other.out = {x: set(heads) for x, heads in group.out.items()}
     other.in_ = {x: set(tails) for x, tails in group.in_.items()}
     other.pos, other.order, other.count = dict(group.pos), list(group.order), dict(group.count)
-    other.closing, other.desc = set(group.closing), dict(group.desc)
+    other.closing, other.anc = set(group.closing), dict(group.anc)
     return other
 
 
@@ -283,9 +282,8 @@ def fits(group: _Group, edges) -> bool:
 def group_state(group: _Group) -> tuple:
     """What a refused try_add must leave as it found it; `closing` may grow."""
     return (list(group.order), dict(group.pos), dict(group.count),
-            {(u, v) for u, heads in group.out.items() for v in heads},
-            {(u, v) for v, tails in group.in_.items() for u in tails},
-            dict(group.desc), group.snapshot_at)
+            {x: set(tails) for x, tails in group.in_.items()},
+            dict(group.anc), group.snapshot_at)
 
 
 class MoveLog(list):
@@ -459,7 +457,8 @@ def test_group_closing_memo_matches_fresh_groups():
 def test_group_snapshot_matches_fresh_groups(monkeypatch, snapshot_edges):
     # a snapshot may only reject: after every add and remove, try_add
     # must match a group built afresh from the current members and
-    # is_dag on the union, and every snapshot bit must be a group path
+    # is_dag on the union, and every snapshot bit but a vertex's own
+    # must be a group path into it
     monkeypatch.setattr(covering, "_SNAPSHOT_EDGES", snapshot_edges)
     rng = random.Random(41)
     snapshots = 0
@@ -475,19 +474,76 @@ def test_group_snapshot_matches_fresh_groups(monkeypatch, snapshot_edges):
                 c = rng.choice(copies)
                 if group.try_add(c.edges):
                     members.append(c)
-            snapshots += bool(group.desc)
+            snapshots += bool(group.anc)
             fresh = _Group()
             for m in members:
                 assert fresh.try_add(m.edges)
             union = set().union(*(m.edges for m in members))
-            for x, reach in group.desc.items():
-                for y in (y for y in range(reach.bit_length()) if reach >> y & 1):
-                    assert not is_dag(Digraph(8, union | {(y, x)})), (x, y)
+            for x, reach in group.anc.items():
+                for y in (y for y in range(reach.bit_length()) if reach >> y & 1 and y != x):
+                    assert not is_dag(Digraph(8, union | {(x, y)})), (x, y)
             for c in copies:
                 want = is_dag(Digraph(8, union | c.edges))
                 assert ask(group, c.edges, want) == fits(fresh, c.edges) == want, c
     # n = 8 groups hold at most 56 edges, so only lowered thresholds take one
     assert (snapshots > 0) == (snapshot_edges < 56)
+
+
+def ancestors(edges, x: int) -> int:
+    """The bitset of x and every vertex with a path into x over `edges`."""
+    into: dict = {}
+    for u, v in edges:
+        into.setdefault(v, []).append(u)
+    found, stack = 1 << x, [x]
+    while stack:
+        for y in into.get(stack.pop(), ()):
+            if not found >> y & 1:
+                found |= 1 << y
+                stack.append(y)
+    return found
+
+
+@pytest.mark.parametrize("snapshot_edges", [0, 1, 8])
+def test_group_snapshot_holds_every_ancestor(monkeypatch, snapshot_edges):
+    # a snapshot just taken maps each vertex of the order to exactly its
+    # ancestors over the union's in-edges, its own bit included
+    monkeypatch.setattr(covering, "_SNAPSHOT_EDGES", snapshot_edges)
+    taken = []
+    take = _Group._snapshot
+
+    def counted(self):
+        taken.append(len(self.count))
+        take(self)
+
+    monkeypatch.setattr(_Group, "_snapshot", counted)
+    rng = random.Random(43)
+    checked = 0
+    for _ in range(10):
+        g = random_digraph(rng, 8, 0.5)
+        copies = list(enumerate_copies(g, T3).copies + enumerate_copies(g, P3).copies)
+        group = _Group()
+        members: list = []
+        for _ in range(40):
+            if members and rng.random() < 0.3:
+                group.remove(members.pop(rng.randrange(len(members))).edges)
+                continue
+            c = rng.choice(copies)
+            before = len(taken)
+            if group.try_add(c.edges):
+                members.append(c)
+            if len(taken) > before:
+                union = set().union(*(m.edges for m in members))
+                assert group.anc == {x: ancestors(union, x) for x in group.order}
+                checked += 1
+    assert checked > 20
+
+    # the 101-vertex path takes its last snapshot with its last edge
+    monkeypatch.setattr(covering, "_SNAPSHOT_EDGES", 64)
+    group = _Group()
+    for i in range(100):
+        assert group.try_add({(i, i + 1)})
+    assert taken[-1] == 100
+    assert group.anc == {x: (1 << x + 1) - 1 for x in range(101)}  # anc[100] holds 0..100
 
 
 def test_group_snapshot_rule(monkeypatch):
@@ -505,7 +561,7 @@ def test_group_snapshot_rule(monkeypatch):
     for i in range(100):
         assert group.try_add({(i, i + 1)})
     assert taken == [64, 80, 100]
-    assert group.desc[0] == sum(1 << y for y in range(1, 101))
+    assert group.anc[100] == sum(1 << y for y in range(101))
 
     # a rejection the snapshot sees runs no search
     searched = []
@@ -515,7 +571,11 @@ def test_group_snapshot_rule(monkeypatch):
             searched.append(key)
             return super().get(key, default)
 
-    group.out = Spy(group.out)
+        def __getitem__(self, key):
+            searched.append(key)
+            return super().__getitem__(key)
+
+    group.in_ = Spy(group.in_)
     assert not group.try_add({(100, 0)})
     assert searched == []
 
@@ -525,7 +585,7 @@ def test_group_snapshot_rule(monkeypatch):
     for _ in range(20):
         assert group.try_add({(100, 101), (101, 102)})
         group.remove({(100, 101), (101, 102)})
-        assert not group.desc
+        assert not group.anc
     assert not group.try_add({(100, 0)})
     assert group.try_add({(101, 0)})
     assert taken == []
@@ -628,6 +688,13 @@ def test_tau_exact_decodes_each_row_once_on_an_early_return(monkeypatch):
     res = tau_exact(g, T3, copies=cs)
     assert res.exact and res.nodes == 0
     assert calls == Counter(range(len(cs)))  # greedy's scan, and nothing else
+    # a host that searches: greedy's scan and the search share one decode
+    g = family_draw("T3", 1)
+    cs = enumerate_copies(g, T3)
+    calls.clear()
+    res = tau_exact(g, T3, copies=cs)
+    assert res.exact and res.nodes > 0
+    assert calls == Counter(range(len(cs)))
 
 
 def test_truncated_copy_set_is_never_exact():
