@@ -4,7 +4,12 @@
 iteration (Dinkelbach 1967) on min cuts in Goldberg's vertex network
 (Goldberg 1984; one cut per root for arboricity), entirely in exact
 arithmetic: each round's best cut gives the next ratio, and the last
-round's maximal cuts the witness.  The network has a node per vertex,
+round's maximal cuts the witness.  The iteration starts at the best
+ratio of a min-degree peel (Charikar 2000), whose first set is every
+non-isolated vertex.  That ratio is recounted on its set, so it is
+attained and never above the optimum: the last round still runs at the
+optimum with the same roots, and no value, witness or balance flag
+changes, only the number of rounds.  The network has a node per vertex,
 not per edge, and its min cut at lam = p/q is 2(qm - gain) (see `_cuts`).
 A round builds one network; each root's cut starts from the previous
 root's maximum flow, once two sink arcs change and the new root's sink
@@ -13,11 +18,14 @@ Gallo, Grigoriadis and Tarjan 1989).  Each finished root is bound to
 the sink, as Hao and Orlin (1994) merge finished terminals, so a later
 root's cut ranges only over subsets avoiding the earlier roots: every
 subset is still counted, at the first root it contains, and `_cuts`
-shows why no value, witness or balance flag changes.  Which maximum
-flow is found never shows: its value is unique, and so is the maximal
-min-cut source side (Picard and Queyranne 1980).  The test suite
-checks them against a fresh node-per-edge network per root, bound the
-same way, and against subset enumeration (`tests/oracles.py`).
+shows why no value, witness or balance flag changes.  A round takes a
+root's min-cut side (a search over the whole network) only where it
+reads it: at a new largest gain, and, while every gain is 0, up to the
+first witness.  Which maximum flow is found never shows: its value is
+unique, and so is the maximal min-cut source side (Picard and Queyranne
+1980).  The test suite checks them against a fresh node-per-edge
+network per root, bound the same way, and against subset enumeration
+(`tests/oracles.py`).
 
 Every function takes a `Digraph`.  The ratios count edges on vertex
 subsets and nothing else, so an undirected graph is passed as any
@@ -33,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .digraph import Digraph, Edge
 from .errors import InvalidInputError, UndefinedParameterError
@@ -72,6 +80,38 @@ def _active_vertices(tokens: Sequence[Edge]) -> list[int]:
 
 def _count_within(tokens: Sequence[Edge], subset: set[int]) -> int:
     return sum(1 for u, v in tokens if u in subset and v in subset)
+
+
+def _peel(tokens: Sequence[Edge], active: list[int], shift: int) -> tuple[Fraction, set[int]]:
+    """The best set S of a min-degree peel (Charikar 2000) and its e(S)/(|S| - shift).
+
+    Starting from all of ``active``, drops a vertex of least token degree,
+    ties to the lowest vertex, until 1 + shift vertices are left, and
+    keeps the first set of the largest ratio.  Shift is 1 for arboricity
+    and 0 for density.  The set is recounted with `_count_within`, so the
+    ratio is attained: it is never above the optimum.
+    """
+    nbrs: dict[int, list[int]] = {v: [] for v in active}
+    for u, v in tokens:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    deg = {v: len(ws) for v, ws in nbrs.items()}
+    alive = list(active)  # ascending, so min() breaks ties to the lowest vertex
+    edges, size = len(tokens), len(active)
+    best_edges, best_size, subset = edges, size, set(alive)
+    while size > 1 + shift:
+        v = min(alive, key=deg.__getitem__)
+        alive.remove(v)
+        edges -= deg[v]
+        size -= 1
+        for w in nbrs[v]:
+            deg[w] -= 1
+        if edges * (best_size - shift) > best_edges * (size - shift):
+            best_edges, best_size, subset = edges, size, set(alive)
+    value = Fraction(best_edges, best_size - shift)
+    if Fraction(_count_within(tokens, subset), len(subset) - shift) != value:
+        raise AssertionError("the peel's set does not reproduce its ratio; its edge count is inconsistent")
+    return value, subset
 
 
 # --- Dinkelbach min-cut route --------------------------------------------
@@ -183,7 +223,7 @@ def _cuts(
     active: list[int],
     lam: Fraction,
     roots: Iterable[int | None],
-    sides: bool = True,
+    sides: bool | Callable[[int], bool] = True,
 ) -> Iterator[tuple[int, set[int] | None]]:
     """Per root, the gain q*m - maxflow/2 at lam = p/q and the maximal source side.
 
@@ -192,9 +232,12 @@ def _cuts(
     the root's sink capacity is zeroed so that the -lam shift applies
     exactly once), in both cases over S avoiding every earlier root.
     It is never negative, and the maximal min-cut side is a subset
-    attaining it (None when ``sides`` is false, for callers that read
-    only gains).  Yielded one root at a time, so a caller that only
-    needs a positive gain stops at the first.
+    attaining it.  The side is None when ``sides`` is false, for callers
+    that read only gains, or, when ``sides`` is a predicate, where it is
+    false for the gain: finding a side searches the whole network, and
+    `_parametric_max` reads few.  Yielded one root at a time, so a
+    caller that only needs a positive gain stops at the first, and a
+    predicate may read what the caller made of the earlier roots.
 
     Goldberg's vertex network: source -> v (q*deg(v), counting tokens),
     v -> sink (2p; 0 at the root), and u <-> w (q*c each way, c the
@@ -256,6 +299,7 @@ def _cuts(
     to, cap = net.to, net.cap
     qm = q * len(tokens)
     bind_cap = 2 * qm + 1  # above the source's total capacity, so no min cut pays it
+    wanted = sides if callable(sides) else lambda gain: sides
     flow = 0
     zeroed = None  # sink arc of the previous root
     for root in roots:
@@ -273,7 +317,7 @@ def _cuts(
                 cap[back] = cap[back ^ 1] = 0
         flow += net.max_flow(0, sink)
         gain = qm - flow // 2
-        if sides:
+        if wanted(gain):
             side = net.source_side_maximal(sink)
             yield gain, {active[i - 1] for i in side if 0 < i <= k}
         else:
@@ -283,35 +327,47 @@ def _cuts(
 def _parametric_max(g: Digraph, kind: str) -> DensityReport:
     """Dinkelbach iteration: lam <- ratio of the subset with the largest gain.
 
-    lam starts at the ratio of all non-isolated vertices and rises
-    strictly while some gain is positive; when none is, lam is the
-    optimum and the same round's maximal cuts hold the witness.  A
-    round whose best cut does not raise lam raises instead of looping.
+    lam starts at the best ratio of a min-degree peel (`_peel`), whose
+    first set is every non-isolated vertex, and rises strictly while
+    some gain is positive; when none is, lam is the optimum and the same
+    round's maximal cuts hold the witness.  The start is attained, so it
+    is never above the optimum, and the last round runs at the optimum
+    with the same roots whatever the start: it changes only how many
+    rounds there are.  A round takes a root's side only where it reads
+    it: when the gain beats the round's best so far (strictly, so the
+    first largest gain still wins), and, while the best is 0, up to the
+    first witness.  A round whose best cut does not raise lam raises
+    instead of looping.
     """
     tokens = _check_input(g)
     active = _active_vertices(tokens)
     roots: list[int | None] = list(active) if kind == "arboricity" else [None]
-    min_size = 2 if kind == "arboricity" else 1
+    shift = 1 if kind == "arboricity" else 0  # the ratio is e(S) / (|S| - shift)
 
     def ratio(subset: set[int]) -> Fraction:
-        den = len(subset) - 1 if kind == "arboricity" else len(subset)
-        return Fraction(_count_within(tokens, subset), den)
+        return Fraction(_count_within(tokens, subset), len(subset) - shift)
 
-    value = ratio(set(active))
+    def read_side(gain: int) -> bool:
+        return gain > best or (best == 0 and witness is None)
+
+    value, _ = _peel(tokens, active, shift)
     while True:
-        cuts = list(_cuts(tokens, active, value, roots))
-        gain, subset = max(cuts, key=lambda cut: cut[0])
-        if gain <= 0:
+        best, subset, witness = 0, None, None
+        for gain, side in _cuts(tokens, active, value, roots, read_side):
+            if gain > best:
+                best, subset = gain, side
+            elif best == 0 and witness is None and len(side) > shift and ratio(side) == value:
+                witness = tuple(sorted(side))
+        if best <= 0:
             break
         better = ratio(subset)
         if better <= value:  # a positive gain means a higher ratio; without it the loop never ends
             raise AssertionError("a cut with positive gain did not raise the ratio; the cuts disagree")
         value = better
     # self-consistency: the witness is a maximal cut whose recounted ratio reproduces the value
-    witness = next((tuple(sorted(s)) for _, s in cuts if len(s) >= min_size and ratio(s) == value), None)
     if witness is None:
         raise AssertionError("no witness reproduces the reported ratio; parametric search is inconsistent")
-    whole = Fraction(len(tokens), g.n - 1 if kind == "arboricity" else g.n)
+    whole = Fraction(len(tokens), g.n - shift)
     return DensityReport(value=value, witness=witness, totally_balanced=value == whole)
 
 
@@ -328,14 +384,19 @@ def maximal_density(g: Digraph) -> DensityReport:
 def is_totally_balanced(g: Digraph) -> bool:
     """True iff the fractional arboricity is attained by the whole graph.
 
-    Decided with a single strict min-cut test at m/(n-1): the graph is
-    totally balanced exactly when no subset beats that ratio.  Inputs
-    with isolated vertices are rejected (the whole-graph ratio would be
-    ambiguous for them).
+    The graph is totally balanced exactly when no subset beats m/(n-1).
+    A min-degree peel (`_peel`) comes first: a set it finds above that
+    ratio is recounted, so it decides False without a network.
+    Otherwise a single strict min-cut test at m/(n-1) decides, reading
+    gains only, so the peel changes no answer.  Inputs with isolated
+    vertices are rejected (the whole-graph ratio would be ambiguous for
+    them).
     """
     tokens = _check_input(g)
     if g.isolated_vertices():
         raise InvalidInputError("balance test requires a graph without isolated vertices")
     active = _active_vertices(tokens)
     lam = Fraction(len(tokens), g.n - 1)
+    if _peel(tokens, active, 1)[0] > lam:
+        return False
     return not any(gain > 0 for gain, _ in _cuts(tokens, active, lam, active, sides=False))

@@ -328,7 +328,7 @@ class _Drew(Exception):
     """Raised by a stand-in for the first random draw past a size check."""
 
 
-def _drew(*args):
+def _drew(*args, **kwargs):
     raise _Drew
 
 
@@ -381,6 +381,24 @@ def test_huge_sweep_exit_3(capsys, tmp_path, monkeypatch, config):
     assert err.startswith("error: ") and err.count("\n") == 1
     with pytest.raises(_Drew):  # the limits themselves are allowed
         cli.run(["sweep", write_sweep(tmp_path, pattern="path 9", n_values=[covering.MAX_HOST_VERTICES])])
+
+
+@pytest.mark.parametrize(
+    "args, limit",
+    [(["Th", "20000"], ["Th", "1414"]), (["star", "1000002", "sink"], ["star", "1000001"]),
+     (["path", "1000001"], ["path", "1000000"])],
+    ids=["Th", "star", "path"],
+)
+def test_huge_catalog_exit_3(capsys, monkeypatch, args, limit):
+    # a graph above the edge limit is refused before it is built; the
+    # stand-ins fail the test instead of building 2 x 10^8 edges
+    for build in ("make_transitive_tournament", "make_rooted_star", "make_directed_path"):
+        monkeypatch.setattr(cli, build, _drew)
+    code, out, err = run_cli(capsys, "catalog", *args)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    with pytest.raises(_Drew):  # the limit itself is allowed
+        cli.catalog_graph(limit[0], limit[1:])
 
 
 @pytest.mark.parametrize(

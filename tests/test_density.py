@@ -328,11 +328,109 @@ def test_one_network_per_dinkelbach_round(monkeypatch):
         expected.append(len(active) + 3)
         return cuts(tokens, active, *args, **kwargs)
 
+    # the peel starts this graph at 9/5, below a = 11/6, so it takes two rounds or more
+    g = sample_undirected(16, 0.2, 7, 2)
+    tokens = _check_input(g)
+    assert density._peel(tokens, _active_vertices(tokens), 1)[0] == Fraction(9, 5)
     monkeypatch.setattr(density, "_Dinic", CountingDinic)
     monkeypatch.setattr(density, "_cuts", counting_cuts)
-    fractional_arboricity(sample_undirected(32, 0.5, 7, 0))
+    assert fractional_arboricity(g).value == Fraction(11, 6)
     assert len(expected) >= 2
     assert networks == expected
+
+
+def _peel_graphs(seed: int) -> list[Digraph]:
+    rng = random.Random(seed)
+    graphs = [random_digraph(rng, rng.randint(2, 12), rng.choice([0.15, 0.35, 0.6, 0.9])) for _ in range(80)]
+    graphs += [sample_undirected(n, p, 7, i) for n in (14, 16) for p in (0.2, 0.3) for i in range(12)]
+    return [g for g in graphs if g.edge_count]
+
+
+def test_peel_start_is_attained_and_below_the_optimum():
+    below = 0
+    for g in _peel_graphs(81):
+        tokens = _check_input(g)
+        active = _active_vertices(tokens)
+        for kind, shift in (("arboricity", 1), ("density", 0)):
+            start, subset = density._peel(tokens, active, shift)
+            assert len(subset) > shift and subset <= set(active)
+            assert start == Fraction(len(g.edges_within(subset)), len(subset) - shift)
+            assert Fraction(len(tokens), len(active) - shift) <= start  # the whole set comes first
+            optimum = densest_subset_enum(g, kind).value
+            assert start <= optimum, (g, kind)
+            below += start < optimum
+    assert below >= 5
+
+
+@pytest.mark.parametrize("kind", ["arboricity", "density"])
+def test_peel_at_the_optimum_runs_one_round(monkeypatch, kind):
+    measure = fractional_arboricity if kind == "arboricity" else maximal_density
+    shift = 1 if kind == "arboricity" else 0
+    cuts = density._cuts
+    calls: list[Fraction] = []
+
+    def counting_cuts(tokens, active, lam, *args, **kwargs):
+        calls.append(lam)
+        return cuts(tokens, active, lam, *args, **kwargs)
+
+    monkeypatch.setattr(density, "_cuts", counting_cuts)
+    rounds = {1: 0, 2: 0}
+    for g in _peel_graphs(82):
+        tokens = _check_input(g)
+        start = density._peel(tokens, _active_vertices(tokens), shift)[0]
+        calls.clear()
+        value = measure(g).value
+        assert calls[0] == start
+        if start == value:
+            assert len(calls) == 1, g
+        else:
+            assert len(calls) >= 2, g
+        rounds[min(len(calls), 2)] += 1
+    assert rounds[1] >= 40 and rounds[2] >= 3
+
+
+@pytest.mark.parametrize("kind", ["arboricity", "density"])
+def test_round_takes_only_the_sides_it_reads(monkeypatch, kind):
+    # a round's sides: the roots up to its first witness (or its first
+    # positive gain), plus the roots whose gain beats every earlier gain
+    measure = fractional_arboricity if kind == "arboricity" else maximal_density
+    shift = 1 if kind == "arboricity" else 0
+    cuts, side_search = density._cuts, density._Dinic.source_side_maximal
+    taken = [0]
+    rounds: list[tuple] = []
+
+    def counting_side_search(net, t):
+        taken[0] += 1
+        return side_search(net, t)
+
+    def recording_cuts(tokens, active, lam, roots, sides=True):
+        before, yielded = taken[0], []
+        for gain, side in cuts(tokens, active, lam, roots, sides):
+            yielded.append((gain, side))
+            yield gain, side
+        rounds.append((tokens, active, lam, roots, yielded, taken[0] - before))
+
+    monkeypatch.setattr(density._Dinic, "source_side_maximal", counting_side_search)
+    monkeypatch.setattr(density, "_cuts", recording_cuts)
+    total_roots = total_taken = 0
+    for g in _peel_graphs(83):
+        rounds.clear()
+        measure(g)
+        for tokens, active, lam, roots, yielded, count in rounds:
+            full = list(cuts(tokens, active, lam, roots))
+            assert [gain for gain, _ in yielded] == [gain for gain, _ in full]
+            assert all(side is None or side == s for (_, side), (_, s) in zip(yielded, full))
+            assert count == sum(side is not None for _, side in yielded)
+            stop = next((i + 1 for i, (gain, s) in enumerate(full)
+                         if gain > 0 or (len(s) > shift and
+                                         Fraction(len(g.edges_within(s)), len(s) - shift) == lam)),
+                        len(full))
+            improving = sum(1 for i, (gain, _) in enumerate(full)
+                            if gain > max([0] + [earlier for earlier, _ in full[:i]]))
+            assert count <= stop + improving, (g, lam)
+            total_roots += len(roots)
+            total_taken += count
+    assert total_taken < total_roots / 2 if kind == "arboricity" else total_taken == total_roots
 
 
 @pytest.mark.parametrize("measure", [fractional_arboricity, maximal_density])
