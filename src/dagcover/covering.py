@@ -17,7 +17,8 @@ directed cycle in the union defeats any single order, because each
 permutation makes some cycle edge backward).  It follows that
 tau(H, G) equals the minimum number of groups in a partition of the
 copies into acyclic-union families, which is what the exact solver
-searches for, and that tau <= 1 exactly when the union of all copies is
+searches for, depth first in one loop over a stack of branch
+generators, and that tau <= 1 exactly when the union of all copies is
 acyclic.  The brute-force oracle over all n! permutations in the test
 suite confirms the equivalence.
 
@@ -723,10 +724,6 @@ class TauExactResult:
         return self.upper
 
 
-class _Budget(Exception):
-    pass
-
-
 def _equal_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every index pair (i, j) with a[i] == b[j], ascending in i."""
     at = np.argsort(b, kind="stable")
@@ -816,13 +813,19 @@ def tau_exact(
     copy may open at most one new group.  The next copy branched on is
     the first remaining one with the most blocked groups, those holding
     a member it conflicts with, so the fewest open groups left to try.
-    Blocked counts are kept up to date as copies join and leave groups
-    and groups open and close, not recounted at every node.  The clique
-    and the blocked counts read the conflict lists of `_conflicts`,
-    joined from the key rows (see the module docstring); the rows are
-    decoded once, for the search and tau_greedy's seed-0 cover, its
-    first upper bound.  If the node budget runs out, or the copy set is
-    truncated, the result degrades to (lower, upper) bounds.
+    Blocked counts are kept up to date by one place/unplace pair as a
+    copy joins or leaves a group, opening or closing it, not recounted
+    at every node.  The search is one loop over a stack of branch
+    generators, one per node, each yielding after every placement of
+    its copy and undoing it when resumed; the loop counts nodes, prunes
+    at the incumbent's size and records each better cover.  So no copy
+    count meets Python's recursion limit: MAX_EXACT_COPIES bounds the
+    conflict lists and the `hits` rows (groups x copies ints) instead.
+    The clique and the blocked counts read the conflict lists of
+    `_conflicts`, joined from the key rows (see the module docstring);
+    the rows are decoded once, for the search and tau_greedy's seed-0
+    cover, its first upper bound.  If the node budget runs out, or the
+    copy set is truncated, the result degrades to (lower, upper) bounds.
     """
     if budget < 0:
         raise InvalidInputError(f"node budget must be >= 0, got {budget}")
@@ -865,72 +868,65 @@ def tau_exact(
     hits: list[list[int]] = []
     blocked = [0] * count
 
-    def open_group(first: int) -> None:
-        groups.append(_Group(items[first]))
-        row = [0] * count
-        for j in conflicts[first]:
-            row[j] = 1
-            blocked[j] += 1
-        hits.append(row)
-        assignment[first] = len(groups) - 1
+    def place(i: int, gi: int) -> bool:
+        """Put copy i in group gi, opening it when gi == len(groups); False if that closes a cycle."""
+        if gi == len(groups):
+            groups.append(_Group(items[i]))
+            hits.append([0] * count)
+        elif not groups[gi].try_add(items[i]):
+            return False
+        row = hits[gi]
+        for j in conflicts[i]:
+            if not row[j]:
+                blocked[j] += 1
+            row[j] += 1
+        assignment[i] = gi
+        return True
 
-    def close_group(last: int) -> None:
-        groups.pop()
-        hits.pop()
-        for j in conflicts[last]:
-            blocked[j] -= 1
+    def unplace(i: int, gi: int) -> None:
+        """Take copy i back out of group gi; a group left empty closes."""
+        row = hits[gi]
+        for j in conflicts[i]:
+            row[j] -= 1
+            if not row[j]:
+                blocked[j] -= 1
+        groups[gi].remove(items[i])
+        if not groups[gi].count:
+            groups.pop()
+            hits.pop()
 
-    for a in anchor:
-        open_group(a)
-
-    nodes = 0
-
-    def search(remaining: list[int]) -> None:
-        nonlocal nodes, best_size, best_assign
-        nodes += 1
-        if nodes > budget:
-            raise _Budget
+    def branch(remaining: list[int]) -> Iterator[list[int]]:
+        """Each placement of the most constrained copy; yields the copies left after each."""
         used = len(groups)
-        if used >= best_size:
-            return
-        if not remaining:
-            best_size = used
-            best_assign = list(assignment)
-            return
-        # most constrained copy first: the first with the most blocked groups
         i = max(remaining, key=blocked.__getitem__)
         pick_at = remaining.index(i)
-        edges = items[i]
-        near = conflicts[i]
         others = remaining[:pick_at] + remaining[pick_at + 1:]
-        for gi in range(used):
-            row = hits[gi]
-            if not row[i] and groups[gi].try_add(edges):
-                for j in near:
-                    if not row[j]:
-                        blocked[j] += 1
-                    row[j] += 1
-                assignment[i] = gi
-                search(others)
-                groups[gi].remove(edges)
-                for j in near:
-                    row[j] -= 1
-                    if not row[j]:
-                        blocked[j] -= 1
-        if used + 1 < best_size:
-            open_group(i)
-            search(others)
-            close_group(i)
-        assignment[i] = -1
+        for gi in range(used + 1):
+            # an open group holding no conflict of i, or a new one while it can beat the incumbent
+            if (not hits[gi][i] if gi < used else used + 1 < best_size) and place(i, gi):
+                yield others
+                unplace(i, gi)
 
-    complete = True
-    try:
-        search(rest)
-    except _Budget:
-        complete = False
-    # search holds itself through its closure; dropping the name frees
-    # the groups and tables by reference counting
-    del search
+    for a in anchor:
+        place(a, len(groups))
+
+    nodes = 0
+    stack = [iter([rest])]
+    while stack:
+        remaining = next(stack[-1], None)
+        if remaining is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            break
+        if len(groups) >= best_size:
+            continue
+        if remaining:
+            stack.append(branch(remaining))
+        else:
+            best_size, best_assign = len(groups), list(assignment)
+    complete = not stack
 
     unions: list[set[Edge]] = [set() for _ in range(best_size)]
     for idx, gi in enumerate(best_assign):

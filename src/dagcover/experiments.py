@@ -38,10 +38,9 @@ from .skewness import SkewReport, skewness_exact
 SWEEP_MODES = ("dagness", "tau_stats", "skew_pipeline", "copy_count")
 MAX_CENSUS_H = 256  # one G(256, 1/2) sample's arboricity took 1.8 s on a 2-vCPU machine (h = 128: 0.2 s)
 _DRAW_CHUNK = 1 << 20  # uniforms in flight over all draw threads; the n*n grid is never held whole
-# threads drawing one sample's grid: the usable CPUs, at most 4
-_DRAW_THREADS = min(
-    4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
+# the CPUs this process may run on; they cap a sweep's worker processes
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_DRAW_THREADS = min(4, _CPUS)  # threads drawing one sample's grid
 
 
 def sample_digraph(n: int, p: float, seed: int, sample_index: int = 0) -> Digraph:
@@ -213,7 +212,8 @@ def threshold_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRow]:
 
     Per-sample statistics are aggregated over uncensored samples only;
     the censored column counts samples whose copy enumeration hit the
-    cap.  Output is independent of `jobs`.  Hosts are limited to
+    cap.  Output is independent of `jobs`, and the pool never outnumbers
+    the samples or the usable CPUs.  Hosts are limited to
     MAX_HOST_VERTICES vertices and patterns to MAX_PATTERN_VERTICES,
     checked before any draw.
     """
@@ -230,7 +230,7 @@ def threshold_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRow]:
         skew = skewness_exact(cfg.pattern)
     rows = []
     # a fork pool starts all its workers at the first submit; one pool serves every n
-    workers = min(jobs, cfg.samples)
+    workers = min(jobs, cfg.samples, _CPUS)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = pool.map if pool is not None else map
         for n in cfg.n_values:

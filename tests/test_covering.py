@@ -656,10 +656,21 @@ def test_tau_exact_budget_degrades_to_bounds():
     with pytest.raises(InvalidInputError):
         _ = res.value
     assert res.solution is not None and res.solution.size == res.upper
+    # the root is node 1, so a budget of b stops at node b + 1
+    for budget in (0, 1, 2):
+        cut = tau_exact(complete_digraph(5), T3, budget=budget)
+        assert (cut.lower, cut.upper, cut.exact, cut.nodes) == (6, 11, False, budget + 1)
     # a generous budget gets the exact answer back, inside the old bounds
     full = tau_exact(complete_digraph(5), T3, budget=5_000_000)
     assert full.exact
     assert res.lower <= full.value <= res.upper
+
+
+def test_tau_exact_search_depth_is_not_bounded_by_recursion(monkeypatch):
+    # 1,406 copies: the search goes deeper than Python's recursion limit
+    monkeypatch.setattr(covering, "MAX_EXACT_COPIES", 2000)
+    res = tau_exact(sample_digraph(130, 130**-0.5, 606, 1), T3, budget=2000)
+    assert (res.lower, res.upper, res.exact, res.nodes) == (4, 6, False, 2001)
 
 
 def test_tau_exact_refuses_before_building_copies(monkeypatch):

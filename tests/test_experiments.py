@@ -105,11 +105,15 @@ def test_sweep_pool_never_outnumbers_samples(monkeypatch):
     )
     rows = threshold_sweep(cfg)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(experiments, "_CPUS", 64)
     assert threshold_sweep(cfg, jobs=64) == rows
     assert asked == [3]  # one pool for both n values
     assert threshold_sweep(cfg, jobs=1) == rows
     threshold_sweep(dataclasses.replace(cfg, samples=1), jobs=64)  # one sample runs in process
     assert asked == [3]
+    monkeypatch.setattr(experiments, "_CPUS", 2)  # nor the usable CPUs
+    assert threshold_sweep(cfg, jobs=64) == rows
+    assert asked == [3, 2]
 
 
 def test_sample_undirected_binomial_concentration():
